@@ -6,8 +6,9 @@ synthetic association-set workload (macro).  A third section pits the
 physical executor (:mod:`repro.exec` — adjacency indexes + sub-plan
 cache) against the naive logical evaluator on Associate-heavy queries at
 the largest datagen scale, asserting the speedup the indexes buy; a
-fourth pits the compact-kernel path against that indexed executor on a
-macro Associate/Intersect query and asserts its speedup in turn.
+fourth pits the compact kernels against the reference evaluator on a
+macro Associate/Intersect query, and a fifth the compiled column-mask σ
+against it on a σ-heavy chain, each asserting its speedup in turn.
 """
 
 import time
@@ -300,7 +301,7 @@ def test_indexed_speedup_on_associate_heavy_query(chain200):
 
 
 # ----------------------------------------------------------------------
-# compact vs indexed: the arena kernels against the PR-2 executor on a
+# compact vs reference: the arena kernels against ``Expr.evaluate`` on a
 # macro Associate/Intersect query (same chain200 dataset)
 # ----------------------------------------------------------------------
 
@@ -313,30 +314,30 @@ def _macro_query():
 def test_compact_macro_intersect_chain(benchmark, chain200):
     expr = _macro_query()
     executor = Executor(chain200.graph)
-    executor.run(expr, use_cache=False)  # warm the arena and indexes
+    executor.run(expr, use_cache=False)  # warm the arena
     result = benchmark(lambda: executor.run(expr, use_cache=False))
     assert result == expr.evaluate(chain200.graph)
 
 
 def test_compact_speedup_on_macro_intersect_chain(chain200):
-    """Acceptance gate: compact kernels buy ≥2× over the indexed executor
-    on the macro Associate/Intersect query, plans uncached on both sides."""
+    """Acceptance gate: compact kernels buy ≥2× over the reference
+    evaluator on the macro Associate/Intersect query, plans uncached."""
     expr = _macro_query()
-    reference = expr.evaluate(chain200.graph)
-    compact = Executor(chain200.graph)
-    indexed = Executor(chain200.graph, compact=False)
-    # warm the arena / indexes and verify both agree with the reference
+    graph = chain200.graph
+    reference = expr.evaluate(graph)
+    compact = Executor(graph)
+    # warm the arena and verify the kernels agree with the reference
     assert compact.run(expr, use_cache=False) == reference
-    assert indexed.run(expr, use_cache=False) == reference
     compact_s = _median_seconds(lambda: compact.run(expr, use_cache=False))
-    indexed_s = _median_seconds(lambda: indexed.run(expr, use_cache=False))
-    speedup = indexed_s / compact_s
+    reference_s = _median_seconds(lambda: expr.evaluate(graph))
+    speedup = reference_s / compact_s
     assert speedup >= 2.0, f"compact speedup only {speedup:.1f}x"
 
 
 # ----------------------------------------------------------------------
-# compiled vs object σ: column-mask selects on the σ-heavy valued chain
-# (V0—V1—V2 at 400 per extent, skewed integer values)
+# compiled σ vs reference: column-mask selects against ``Expr.evaluate``
+# on the σ-heavy valued chain (V0—V1—V2 at 400 per extent, skewed
+# integer values)
 # ----------------------------------------------------------------------
 
 
@@ -380,52 +381,41 @@ def test_compiled_select_sigma_chain(benchmark, sigma_chain):
     assert result == expr.evaluate(sigma_chain.graph)
 
 
-def test_object_select_sigma_chain(benchmark, sigma_chain):
+def test_reference_select_sigma_chain(benchmark, sigma_chain):
     expr = sigma_query(sigma_chain.rare_value)
-    executor = Executor(sigma_chain.graph)
-    executor.run(expr, use_cache=False, compiled_select=False)
-    result = benchmark(
-        lambda: executor.run(expr, use_cache=False, compiled_select=False)
-    )
-    assert result == expr.evaluate(sigma_chain.graph)
+    result = benchmark(lambda: expr.evaluate(sigma_chain.graph))
+    assert result == Executor(sigma_chain.graph).run(expr, use_cache=False)
 
 
 def test_compiled_select_speedup_on_sigma_heavy_chain(sigma_chain):
-    """Acceptance gate: compiled column masks buy ≥2× over the object σ
-    path on the σ-heavy chain, plans uncached on both sides."""
+    """Acceptance gate: compiled column masks buy ≥2× over the reference
+    evaluator on the σ-heavy chain, plans uncached."""
     expr = sigma_query(sigma_chain.rare_value)
-    reference = expr.evaluate(sigma_chain.graph)
-    executor = Executor(sigma_chain.graph)
-    # warm the arena / columns and verify both paths match the reference
+    graph = sigma_chain.graph
+    reference = expr.evaluate(graph)
+    executor = Executor(graph)
+    # warm the arena / columns and verify the result matches the reference
     assert executor.run(expr, use_cache=False) == reference
-    assert executor.run(expr, use_cache=False, compiled_select=False) == reference
     compiled_s = _median_seconds(lambda: executor.run(expr, use_cache=False))
-    object_s = _median_seconds(
-        lambda: executor.run(expr, use_cache=False, compiled_select=False)
-    )
-    speedup = object_s / compiled_s
+    reference_s = _median_seconds(lambda: expr.evaluate(graph))
+    speedup = reference_s / compiled_s
     assert speedup >= 2.0, f"compiled-select speedup only {speedup:.1f}x"
 
 
 def test_compiled_select_never_slower(sigma_chain):
     """Acceptance gate: on pure σ-over-extent queries every compiled
-    predicate shape is at least as fast as the object path (25% slack
-    absorbs timer noise on sub-millisecond runs)."""
-    executor = Executor(sigma_chain.graph)
+    predicate shape is at least as fast as the reference evaluator (25%
+    slack absorbs timer noise on sub-millisecond runs)."""
+    graph = sigma_chain.graph
+    executor = Executor(graph)
     for cls, predicate in sigma_predicates(sigma_chain.rare_value).items():
         expr = Select(ref(cls), predicate)
-        reference = expr.evaluate(sigma_chain.graph)
-        assert executor.run(expr, use_cache=False) == reference
-        assert (
-            executor.run(expr, use_cache=False, compiled_select=False) == reference
-        )
+        assert executor.run(expr, use_cache=False) == expr.evaluate(graph)
         compiled_s = _median_seconds(lambda: executor.run(expr, use_cache=False))
-        object_s = _median_seconds(
-            lambda: executor.run(expr, use_cache=False, compiled_select=False)
-        )
-        assert compiled_s <= object_s * 1.25, (
-            f"compiled σ slower than object path on {cls}: "
-            f"{compiled_s * 1e3:.3f}ms vs {object_s * 1e3:.3f}ms"
+        reference_s = _median_seconds(lambda: expr.evaluate(graph))
+        assert compiled_s <= reference_s * 1.25, (
+            f"compiled σ slower than the reference on {cls}: "
+            f"{compiled_s * 1e3:.3f}ms vs {reference_s * 1e3:.3f}ms"
         )
 
 

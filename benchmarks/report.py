@@ -3,8 +3,8 @@
 Runs every experiment family directly (no pytest) and prints markdown
 tables: figure exactness, law spot-checks, the relational comparison, the
 scaling sweeps, the heterogeneity comparison, the Figure 10
-alternatives, and the per-operator timings (micro + macro + the
-compact-vs-indexed executor comparison).
+alternatives, and the per-operator timings (micro + macro + the compact
+kernels and compiled σ against the reference evaluator).
 
 Usage:
     python benchmarks/report.py           # full run (~1 min)
@@ -321,7 +321,7 @@ def report_observability(quick: bool) -> None:
 
 
 # ----------------------------------------------------------------------
-# E. per-operator timings (micro + macro + compact vs indexed)
+# E. per-operator timings (micro + macro + kernels vs reference)
 # ----------------------------------------------------------------------
 
 
@@ -400,13 +400,10 @@ def operator_sections(quick: bool) -> dict:
 
     expr = _macro_query()
     compact = Executor(graph)
-    indexed = Executor(graph, compact=False)
-    # warm the arena / indexes and check the two executors agree
-    assert compact.run(expr, use_cache=False) == indexed.run(
-        expr, use_cache=False
-    )
+    # warm the arena and check the kernels agree with the reference
+    assert compact.run(expr, use_cache=False) == expr.evaluate(graph)
     compact_stats = sampled(lambda: compact.run(expr, use_cache=False), 3)
-    indexed_stats = sampled(lambda: indexed.run(expr, use_cache=False), 3)
+    reference_stats = sampled(lambda: expr.evaluate(graph), 3)
 
     # Sharded scatter-gather on the same macro query, at serving scale:
     # the steady-state latency of `Database.query(shards=N)` (worker
@@ -446,18 +443,15 @@ def operator_sections(quick: bool) -> dict:
     )
     sigma_expr = sigma_query(sigma_ds.rare_value)
     sigma_exec = Executor(sigma_ds.graph)
-    # warm the arena / columns and check the two σ paths agree
-    assert sigma_exec.run(sigma_expr, use_cache=False) == sigma_exec.run(
-        sigma_expr, use_cache=False, compiled_select=False
+    # warm the arena / columns and check the masks agree with the reference
+    assert sigma_exec.run(sigma_expr, use_cache=False) == sigma_expr.evaluate(
+        sigma_ds.graph
     )
     compiled_stats = sampled(
         lambda: sigma_exec.run(sigma_expr, use_cache=False), repeat
     )
-    object_stats = sampled(
-        lambda: sigma_exec.run(
-            sigma_expr, use_cache=False, compiled_select=False
-        ),
-        repeat,
+    sigma_reference_stats = sampled(
+        lambda: sigma_expr.evaluate(sigma_ds.graph), repeat
     )
     return {
         "fig8_micro": fig8_micro,
@@ -465,13 +459,13 @@ def operator_sections(quick: bool) -> dict:
             "extent_size": extent,
             "operators": chain_macro,
         },
-        "compact_vs_indexed": {
+        "compact_vs_reference": {
             "query": str(expr),
             "extent_size": extent,
             "compact": compact_stats,
-            "indexed": indexed_stats,
+            "reference": reference_stats,
             "speedup_median": round(
-                indexed_stats["median_ms"] / compact_stats["median_ms"], 2
+                reference_stats["median_ms"] / compact_stats["median_ms"], 2
             ),
         },
         "sharded_chain": {
@@ -489,13 +483,15 @@ def operator_sections(quick: bool) -> dict:
                 single_stats["median_ms"] / sharded_stats["median_ms"], 2
             ),
         },
-        "sigma_compiled_vs_object": {
+        "sigma_compiled_vs_reference": {
             "query": str(sigma_expr),
             "extent_size": sigma_extent,
             "compiled": compiled_stats,
-            "object": object_stats,
+            "reference": sigma_reference_stats,
             "speedup_median": round(
-                object_stats["median_ms"] / compiled_stats["median_ms"], 2
+                sigma_reference_stats["median_ms"]
+                / compiled_stats["median_ms"],
+                2,
             ),
         },
     }
@@ -584,21 +580,24 @@ def report_operators(sections: dict) -> None:
         header,
         _stat_rows(macro["operators"]),
     )
-    cvi = sections["compact_vs_indexed"]
+    cvr = sections["compact_vs_reference"]
     table(
-        f"E.3 compact vs indexed executor (extent {cvi['extent_size']}; ms)",
-        ["executor", "median ms", "p95 ms", "samples"],
-        _stat_rows({"compact": cvi["compact"], "indexed": cvi["indexed"]}),
+        f"E.3 compact kernels vs reference evaluator (extent"
+        f" {cvr['extent_size']}; ms)",
+        ["path", "median ms", "p95 ms", "samples"],
+        _stat_rows({"compact": cvr["compact"], "reference": cvr["reference"]}),
     )
-    print(f"\ncompact speedup over indexed: {cvi['speedup_median']}x")
-    sigma = sections["sigma_compiled_vs_object"]
+    print(f"\ncompact speedup over reference: {cvr['speedup_median']}x")
+    sigma = sections["sigma_compiled_vs_reference"]
     table(
-        f"E.4 compiled vs object σ (valued chain, extent"
+        f"E.4 compiled σ vs reference evaluator (valued chain, extent"
         f" {sigma['extent_size']}; ms)",
         ["σ path", "median ms", "p95 ms", "samples"],
-        _stat_rows({"compiled": sigma["compiled"], "object": sigma["object"]}),
+        _stat_rows(
+            {"compiled": sigma["compiled"], "reference": sigma["reference"]}
+        ),
     )
-    print(f"\ncompiled-σ speedup over object path: {sigma['speedup_median']}x")
+    print(f"\ncompiled-σ speedup over reference: {sigma['speedup_median']}x")
     sharded = sections["sharded_chain"]
     table(
         f"E.5 sharded scatter-gather (extent {sharded['extent_size']},"

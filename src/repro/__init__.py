@@ -14,9 +14,9 @@ Public API tour
 * :mod:`repro.engine` — the :class:`~repro.engine.database.Database`
   facade tying everything together (query entry point:
   :meth:`~repro.engine.database.Database.query`);
-* :mod:`repro.exec` — the physical execution engine behind it: adjacency
-  and value indexes, a memoizing sub-plan cache and a parallel branch
-  scheduler;
+* :mod:`repro.exec` — the physical execution engine behind it: an
+  integer-interning pattern arena with batch kernels, typed attribute
+  columns and a memoizing sub-plan cache;
 * :mod:`repro.oql` — the textual OQL front-end compiled to the algebra;
 * :mod:`repro.optimizer` — law-based rewriting and a cardinality cost
   model (§4, Figure 10);

@@ -642,10 +642,7 @@ class Database:
         *,
         trace: Tracer | None = None,
         explain: bool = False,
-        parallel: bool = False,
         use_cache: bool = True,
-        compact: bool | None = None,
-        compiled_select: bool | None = None,
         optimize: bool = False,
         replan_threshold: float | None = None,
         shards: int | None = None,
@@ -656,13 +653,8 @@ class Database:
         ``q`` is an algebra :class:`Expr` or OQL text (compiled on the
         fly).  ``trace`` accepts any :class:`~repro.obs.span.Tracer` (the
         legacy :class:`EvalTrace` included) to record the evaluation's
-        span tree.  ``parallel`` lets the scheduler evaluate independent
-        plan branches on a thread pool; ``use_cache=False`` bypasses the
-        sub-plan cache (reads *and* writes); ``compact`` overrides the
-        planner's compact-kernel setting for this call (``False`` forces
-        the reference strategies); ``compiled_select`` overrides the
-        column-mask σ lowering the same way (``False`` forces the
-        per-pattern object path).  With ``explain=True`` the evaluation
+        span tree.  ``use_cache=False`` bypasses the sub-plan cache (reads
+        *and* writes).  With ``explain=True`` the evaluation
         runs under EXPLAIN ANALYZE — the report lands on
         ``QueryResult.report``, the cache is bypassed so every plan node
         truly executes, and ``trace`` is ignored (the report owns the
@@ -714,16 +706,10 @@ class Database:
                     dist_plan, trace=trace, use_cache=use_cache
                 )
             else:
-                plan = self.executor.plan(
-                    plan_expr, compact=compact, compiled_select=compiled_select
-                )
+                plan = self.executor.plan(plan_expr)
                 strategy = plan.strategy
                 result = self.executor.run(
-                    plan_expr,
-                    trace=trace,
-                    parallel=parallel,
-                    use_cache=use_cache,
-                    plan=plan,
+                    plan_expr, trace=trace, use_cache=use_cache, plan=plan
                 )
             if plan_entry is not None:
                 self._adaptive_feedback(

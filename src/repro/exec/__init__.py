@@ -1,14 +1,12 @@
 """Physical execution layer for the A-algebra engine.
 
 Separates logical :class:`~repro.core.expression.Expr` trees from the
-physical plans that evaluate them: incrementally maintained access
-structures (:mod:`repro.exec.indexes`), a mutation-invalidated sub-plan
-cache (:mod:`repro.exec.cache`), strategy-annotated operator trees
+physical plans that evaluate them: a mutation-invalidated sub-plan cache
+(:mod:`repro.exec.cache`), strategy-annotated operator trees
 (:mod:`repro.exec.physical`), an integer-interning pattern arena with
-batch kernels (:mod:`repro.exec.arena`, :mod:`repro.exec.kernels`), a
+batch kernels (:mod:`repro.exec.arena`, :mod:`repro.exec.kernels`) and a
 typed column store with compiled predicate masks
-(:mod:`repro.exec.columns`) and a parallel branch scheduler
-(:mod:`repro.exec.scheduler`), all coordinated by one
+(:mod:`repro.exec.columns`), all coordinated by one
 :class:`~repro.exec.executor.Executor` per database.  See
 ``docs/execution.md``.
 """
@@ -17,18 +15,14 @@ from repro.exec.arena import CompactSet, PatternArena
 from repro.exec.cache import PlanCache, PlanEntry, canonicalize, expr_dependencies
 from repro.exec.columns import ColumnStore, compile_select, compiled_select_probe
 from repro.exec.executor import Executor
-from repro.exec.indexes import IndexManager
 from repro.exec.physical import CompactNode, ExecContext, PhysicalNode, PhysicalPlanner
-from repro.exec.scheduler import BranchScheduler, parallel_branches
 
 __all__ = [
-    "BranchScheduler",
     "ColumnStore",
     "CompactNode",
     "CompactSet",
     "ExecContext",
     "Executor",
-    "IndexManager",
     "PatternArena",
     "PhysicalNode",
     "PhysicalPlanner",
@@ -38,5 +32,4 @@ __all__ = [
     "compile_select",
     "compiled_select_probe",
     "expr_dependencies",
-    "parallel_branches",
 ]

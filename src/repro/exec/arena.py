@@ -27,12 +27,11 @@ Maintenance
 The arena is **append-only**: ids are never reused, so compact sets held
 by the :class:`~repro.exec.cache.PlanCache` stay valid across unrelated
 mutations.  Derived caches (compact extents, per-association adjacency,
-compact edge-pattern sets) are maintained incrementally from the same
-mutation events :class:`~repro.exec.indexes.IndexManager` consumes, and
-the same graph-version guard applies: the owning executor calls
-:meth:`reset` when an out-of-band write is detected, which drops the
-interning tables entirely (the executor clears the plan cache in the
-same breath, so no stale ids can survive).
+compact edge-pattern sets) are maintained incrementally from the
+database's mutation events, under a graph-version guard: the owning
+executor calls :meth:`reset` when an out-of-band write is detected, which
+drops the interning tables entirely (the executor clears the plan cache
+in the same breath, so no stale ids can survive).
 """
 
 from __future__ import annotations
@@ -128,10 +127,11 @@ class PatternArena:
         self._cls_vids_frozen: dict[int, frozenset[int]] = {}
         self._eids: dict[tuple[int, int, Polarity], int] = {}
         self._edges: list[Edge] = []
-        # Interning must be safe under the branch scheduler's thread pool:
-        # readers use plain dict lookups (atomic under the GIL); writers
-        # take the lock, re-check, and publish the dict entry only after
-        # the list append so a winning read always finds consistent state.
+        # Interning must be safe under the server's worker threads, which
+        # share one arena: readers use plain dict lookups (atomic under
+        # the GIL); writers take the lock, re-check, and publish the dict
+        # entry only after the list append so a winning read always finds
+        # consistent state.
         self._lock = threading.RLock()
         # Decoded-pattern memo: ids are append-only, so a compact key
         # denotes the same Pattern for the arena's whole lifetime — repeat
@@ -153,6 +153,9 @@ class PatternArena:
         # extent patches replace the CompactSet, so a stale mask can never
         # be read through a fresh extent
         self._cls_masks: dict[str, tuple[frozenset, int]] = {}
+        # class → (extent keys, decoded extent), same snapshot identity
+        # check; one entry per class, so inserts never grow it
+        self._extent_sets: dict[str, tuple[frozenset, AssociationSet]] = {}
         self._edge_csets: dict[tuple[str, str, str], CompactSet] = {}
         self._adjacency: dict[tuple[str, str, str], dict[int, tuple[int, ...]]] = {}
         self._adj_masks: dict[tuple[str, str, str], dict[int, int]] = {}
@@ -335,6 +338,27 @@ class PatternArena:
                 self._extent_csets[cls] = cached
         return cached
 
+    def extent_set(self, cls: str) -> AssociationSet:
+        """The extent of ``cls`` as Inner-patterns, decoded once per snapshot.
+
+        Keyed on the identity of the :meth:`extent_cset` it decodes, like
+        :meth:`class_mask`: extent patches replace the CompactSet, so the
+        first read after an insert or delete decodes afresh.
+        """
+        cset = self.extent_cset(cls)
+        cached = self._extent_sets.get(cls)
+        if cached is None or cached[0] is not cset.keys:
+            if self._m_decoded is not None:
+                self._m_decoded.inc(len(cset.keys))
+            decode = self.decode_key
+            cached = (
+                cset.keys,
+                AssociationSet.from_frozen(frozenset(map(decode, cset.keys))),
+            )
+            with self._lock:
+                self._extent_sets[cls] = cached
+        return cached[1]
+
     def class_mask(self, cls: str) -> int:
         """Bitmask of the *live* extent of ``cls`` (bit ``v`` ⇔ vid ``v``).
 
@@ -415,12 +439,11 @@ class PatternArena:
     def apply(self, event) -> None:
         """Fold one mutation event into the derived compact structures.
 
-        Mirrors :meth:`IndexManager.apply` decision for decision: extents
-        patch in place; link/unlink patch the association's adjacency,
-        masks, and edge set when cached; deletes and multi-class inserts
-        drop the association caches of the touched classes.  The interning
-        tables never shrink — ids of deleted instances simply fall out of
-        every derived structure.
+        Extents patch in place; link/unlink patch the association's
+        adjacency, masks, and edge set when cached; deletes and multi-class
+        inserts drop the association caches of the touched classes.  The
+        interning tables never shrink — ids of deleted instances simply
+        fall out of every derived structure.
         """
         kind = event.kind
         if kind == "insert":
@@ -510,6 +533,7 @@ class PatternArena:
             self._decoded_sets.clear()
             self._extent_csets.clear()
             self._cls_masks.clear()
+            self._extent_sets.clear()
             self._edge_csets.clear()
             self._adjacency.clear()
             self._adj_masks.clear()

@@ -1,14 +1,15 @@
-"""The physical execution engine: planning, caching, parallel dispatch.
+"""The physical execution engine: planning and caching.
 
 One :class:`Executor` serves one :class:`~repro.objects.graph.ObjectGraph`.
-It owns the derived state the physical layer runs on — an
-:class:`~repro.exec.indexes.IndexManager` and a
+It owns the derived state the physical layer runs on — a
+:class:`~repro.exec.arena.PatternArena` and a
 :class:`~repro.exec.cache.PlanCache` — and keeps both honest through two
 channels:
 
 * :meth:`on_mutation` — the :class:`~repro.engine.database.Database`
-  forwards every mutation event; indexes update incrementally, cache
-  entries depending on the touched classes are dropped;
+  forwards every mutation event; the arena patches its extents,
+  adjacency and columns incrementally, cache entries depending on the
+  touched classes are dropped;
 * the graph's ``version`` counter — a mutation that bypassed the event
   stream (direct graph access) leaves ``version`` ahead of what the
   events explained, and the next :meth:`run` rebuilds everything from
@@ -25,9 +26,7 @@ from repro.core.assoc_set import AssociationSet
 from repro.core.expression import Expr
 from repro.exec.arena import PatternArena
 from repro.exec.cache import PlanCache
-from repro.exec.indexes import IndexManager
 from repro.exec.physical import ExecContext, PhysicalNode, PhysicalPlanner
-from repro.exec.scheduler import BranchScheduler, parallel_branches
 from repro.objects.graph import ObjectGraph
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.span import Tracer
@@ -42,36 +41,25 @@ class Executor:
         self,
         graph: ObjectGraph,
         metrics: MetricsRegistry | None = None,
-        max_workers: int = 4,
-        compact: bool = True,
         stats=None,
-        compiled_select: bool = True,
     ) -> None:
         self.graph = graph
         self.metrics = metrics
         # Optional StatisticsCatalog: fed the same mutation events as the
-        # indexes, and its FeedbackStore collects actual cardinalities.
+        # arena, and its FeedbackStore collects actual cardinalities.
         self.stats = stats
-        self.indexes = IndexManager(graph)
         self.arena = PatternArena(graph, metrics)
         self.cache = PlanCache(metrics)
-        self.planner = PhysicalPlanner(
-            graph, metrics, compact=compact, compiled_select=compiled_select
-        )
+        self.planner = PhysicalPlanner(graph, metrics)
         # The stats catalog's histogram/distinct builders scan columns
         # instead of objects once a class's column is materialized.
         if stats is not None and hasattr(stats, "attach_columns"):
             stats.attach_columns(self.arena.columns)
-        self.scheduler = BranchScheduler(max_workers)
         self._synced_version = graph.version
         if metrics is not None:
-            self._m_branches = metrics.counter(
-                "repro_parallel_branches_total",
-                "Plan branches dispatched to the parallel scheduler",
-            )
             self._m_resets = metrics.counter(
                 "repro_executor_resets_total",
-                "Full index/cache rebuilds forced by out-of-band mutations",
+                "Full arena/cache rebuilds forced by out-of-band mutations",
             )
 
     # ------------------------------------------------------------------
@@ -79,7 +67,7 @@ class Executor:
     # ------------------------------------------------------------------
 
     def on_mutation(self, event, pre_version: int | None = None) -> int:
-        """Fold one mutation event into indexes, arena, and cache.
+        """Fold one mutation event into arena and cache.
 
         ``pre_version`` is the graph version the caller observed before
         applying the mutation, when it can vouch for one.  A mismatch
@@ -92,16 +80,8 @@ class Executor:
         database's event log records non-zero counts).
         """
         if pre_version is not None and pre_version != self._synced_version:
-            self.indexes.reset()
-            self.arena.reset()
-            self.cache.clear()
-            if self.stats is not None:
-                self.stats.on_out_of_band()
-            self._synced_version = self.graph.version
-            if self.metrics is not None:
-                self._m_resets.inc()
+            self._reset()
             return 0
-        self.indexes.apply(event)
         self.arena.apply(event)
         # Per-kind delta classification: attribute-only updates invalidate
         # against each entry's value-dependency set, so plans that touch
@@ -122,44 +102,32 @@ class Executor:
         the re-interned arena can never be read through stale ids.
         """
         if self.graph.version != self._synced_version:
-            self.indexes.reset()
-            self.arena.reset()
-            self.cache.clear()
-            if self.stats is not None:
-                self.stats.on_out_of_band()
-            self._synced_version = self.graph.version
-            if self.metrics is not None:
-                self._m_resets.inc()
+            self._reset()
+
+    def _reset(self) -> None:
+        self.arena.reset()
+        self.cache.clear()
+        if self.stats is not None:
+            self.stats.on_out_of_band()
+        self._synced_version = self.graph.version
+        if self.metrics is not None:
+            self._m_resets.inc()
 
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
 
-    def plan(
-        self,
-        expr: Expr,
-        compact: bool | None = None,
-        compiled_select: bool | None = None,
-    ) -> PhysicalNode:
-        """The physical plan the executor would run for ``expr``.
-
-        ``compact`` / ``compiled_select`` override the planner's settings
-        for this call only (``None`` keeps the constructor's defaults).
-        """
+    def plan(self, expr: Expr) -> PhysicalNode:
+        """The physical plan the executor would run for ``expr``."""
         self.refresh()
-        return self.planner.plan(
-            expr, compact=compact, compiled_select=compiled_select
-        )
+        return self.planner.plan(expr)
 
     def run(
         self,
         expr: Expr,
         *,
         trace: Tracer | None = None,
-        parallel: bool = False,
         use_cache: bool = True,
-        compact: bool | None = None,
-        compiled_select: bool | None = None,
         plan: PhysicalNode | None = None,
     ) -> AssociationSet:
         """Evaluate ``expr`` through its physical plan.
@@ -170,25 +138,15 @@ class Executor:
         last refresh.
         """
         if plan is None:
-            self.refresh()
-            plan = self.planner.plan(
-                expr, compact=compact, compiled_select=compiled_select
-            )
+            plan = self.plan(expr)
         ctx = ExecContext(
             self.graph,
-            self.indexes,
             self.cache,
             use_cache,
             arena=self.arena,
             feedback=self.stats.feedback if self.stats is not None else None,
         )
-        if parallel:
-            branches = parallel_branches(plan)
-            if len(branches) >= 2:
-                if self.metrics is not None:
-                    self._m_branches.inc(len(branches))
-                return self.scheduler.run(plan, branches, ctx, trace)
         return plan.execute(ctx, trace)
 
     def __str__(self) -> str:
-        return f"Executor({self.indexes}, {self.cache})"
+        return f"Executor({self.arena}, {self.cache})"

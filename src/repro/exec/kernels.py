@@ -5,7 +5,7 @@ Each kernel is the whole-set counterpart of one reference operator in
 :class:`~repro.exec.arena.PatternArena`: hash joins key on vertex ids,
 union/difference are frozenset merges of int keys, and NonAssociate's
 free-set tests are big-int bitmask ANDs.  The property suite
-(``tests/properties/test_compact_equivalence.py``) holds every kernel to
+(``tests/properties/test_physical_equivalence.py``) holds every kernel to
 bit-identical results against its reference operator — the kernels mirror
 the reference control flow decision for decision, only the representation
 changes.

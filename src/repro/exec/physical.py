@@ -8,39 +8,37 @@ What changes is *how* each node computes its result:
 ========================  =====================================================
 strategy                  applies to
 ========================  =====================================================
-``extent-scan``           :class:`ClassExtent` — reads the IndexManager's
-                          cached extent set (the underlying graph extent is
-                          scanned once, then maintained incrementally)
-``edge-scan``             Associate of two bare extents matching the
-                          association's ends: the answer IS the association's
-                          edge list, read straight from the adjacency index
-``index-join``            any other Associate — index-nested-loop through
-                          ``graph.partners``, driving from the smaller operand
-                          (Associate is commutative, so the swap is free)
-``value-index-scan``      ``σ(X)[X = const]`` — answered from the per-class
-                          value index, then re-checked by the predicate
+``extent-scan``           :class:`ClassExtent` — the arena's compact extent;
+                          inside a compact region it is handed to the parent
+                          kernel as is, at a plan root it is decoded once per
+                          extent snapshot
+``literal``               :class:`Literal` — encoded into the arena inside a
+                          compact region, returned as is at a plan root
+``compact-kernel``        every kernel-covered operator whose children are
+                          all compact (leaves are) — executed by the batch
+                          kernels of :mod:`repro.exec.kernels` over the
+                          integer-interned arena representation, decoded
+                          only at the region root.  Associate of two bare
+                          extents runs the ``edge-scan`` kernel (the answer
+                          IS the association's edge list), ``σ(X)[X =
+                          const]`` the ``value-index`` kernel
 ``compact-select``        any other σ over a bare extent whose predicate
                           compiles to column masks
                           (:func:`repro.exec.columns.compile_select`) —
                           evaluated as a selection bitmask over the arena's
                           typed attribute columns, joined to the region by
                           ``k_select_mask``
-``compact-kernel``        any maximal operator subtree closed over the batch
-                          kernels of :mod:`repro.exec.kernels` — executed
-                          over the integer-interned arena representation,
-                          decoded only at the region root
 ``cache-hit``             any node whose canonical subexpression is in the
                           plan cache (reported at run time, not plan time)
 ========================  =====================================================
 
-Everything else keeps its reference kernel under an honest strategy name
-(``complement-scan``, ``free-set-scan``, ``hash-intersect``, ``union``,
-``difference``, ``divide``, ``object-eval``, ``project``, ``literal``).
-``object-eval`` is the per-pattern ``Predicate.evaluate`` σ path — the
-fallback for predicates the column compiler cannot lower.  With
-``PhysicalPlanner(compact=False)`` the compact path is disabled and
-those reference strategies also cover Associate/NonAssociate/Intersect/
-Union/Difference/value-index/compiled Select.
+Subtrees the kernels do not cover run the reference operators of
+:mod:`repro.core.operators` on decoded sets, under honest strategy names
+(``index-join``, ``complement-scan``, ``free-set-scan``,
+``hash-intersect``, ``union``, ``difference``, ``divide``,
+``object-eval``, ``project``).  ``object-eval`` is the per-pattern
+``Predicate.evaluate`` σ path — for predicates the column compiler cannot
+lower, or a σ over anything but a bare extent.
 
 The planner never consults instance data — only the schema and O(1)
 statistics — so planning is cheap enough to run per query.
@@ -80,7 +78,6 @@ from repro.errors import EvaluationError
 from repro.exec.arena import CompactSet, PatternArena
 from repro.exec.cache import PlanCache, canonicalize
 from repro.exec.columns import compiled_select_probe
-from repro.exec.indexes import IndexManager
 from repro.exec.kernels import (
     k_associate,
     k_difference,
@@ -102,40 +99,23 @@ __all__ = ["CompactNode", "ExecContext", "PhysicalNode", "PhysicalPlanner"]
 
 
 class ExecContext:
-    """Everything a physical node needs at run time.
+    """Everything a physical node needs at run time."""
 
-    ``precomputed`` maps ``id(node)`` → ``(result, branch_tracer)`` for
-    subtrees the parallel scheduler already evaluated on worker threads;
-    reaching such a node adopts the branch's spans instead of re-running.
-    """
-
-    __slots__ = (
-        "graph",
-        "indexes",
-        "cache",
-        "use_cache",
-        "precomputed",
-        "arena",
-        "feedback",
-    )
+    __slots__ = ("graph", "cache", "use_cache", "arena", "feedback")
 
     def __init__(
         self,
         graph: ObjectGraph,
-        indexes: IndexManager,
         cache: PlanCache | None = None,
         use_cache: bool = True,
-        precomputed: dict[int, tuple[AssociationSet, Tracer | None]] | None = None,
         arena: PatternArena | None = None,
         feedback=None,
     ) -> None:
         self.graph = graph
-        self.indexes = indexes
         self.cache = cache
         self.use_cache = use_cache
-        self.precomputed = precomputed
-        # Compact-kernel nodes need an arena; a context built without one
-        # (tests driving plans by hand) lazily gets a private arena.
+        # Every plan reads the arena (extents live there); a context built
+        # without one (tests driving plans by hand) gets a private arena.
         self.arena = arena if arena is not None else PatternArena(graph)
         # Optional FeedbackStore: actual sub-plan cardinalities recorded
         # on cache misses (true executions) for the adaptive cost model.
@@ -167,13 +147,6 @@ class PhysicalNode:
 
     def execute(self, ctx: ExecContext, trace: Tracer | None = None) -> AssociationSet:
         """Evaluate this subtree, mirroring ``Expr.evaluate``'s tracing."""
-        if ctx.precomputed is not None:
-            entry = ctx.precomputed.get(id(self))
-            if entry is not None:
-                result, branch = entry
-                if trace is not None and branch is not None:
-                    _adopt_spans(trace, branch)
-                return result
         if trace is None:
             return self._cached(ctx, None, None)
         span = trace.begin(str(self.expr), self.expr.kind, strategy=self.strategy)
@@ -241,54 +214,9 @@ class PhysicalNode:
         return f"{type(self).__name__}[{self.strategy}]({self.expr})"
 
 
-def _adopt_spans(trace: Tracer, branch: Tracer) -> None:
-    """Splice a branch tracer's finished forest into the open span."""
-    if trace._stack:
-        trace._stack[-1].children.extend(branch.roots)
-    else:
-        trace.roots.extend(branch.roots)
-    trace.completed.extend(branch.completed)
-
-
 # ----------------------------------------------------------------------
-# leaves
+# reference nodes: the paper's operators over decoded sets
 # ----------------------------------------------------------------------
-
-
-class ExtentScan(PhysicalNode):
-    strategy = "extent-scan"
-
-    def _execute(self, ctx, trace, span):
-        return ctx.indexes.extent_set(self.expr.name)
-
-
-class LiteralValue(PhysicalNode):
-    strategy = "literal"
-
-    def _execute(self, ctx, trace, span):
-        return self.expr.value
-
-
-# ----------------------------------------------------------------------
-# binary graph operators
-# ----------------------------------------------------------------------
-
-
-class EdgeScanJoin(PhysicalNode):
-    """Associate of two bare extents: read the edge list directly.
-
-    The operand extents are still evaluated (their spans and scan metrics
-    are part of the query's observable shape, and they are cached reads),
-    but the join itself is a dictionary lookup, not a loop.
-    """
-
-    strategy = "edge-scan"
-
-    def _execute(self, ctx, trace, span):
-        assoc, _, _ = self.expr.resolve(ctx.graph)
-        for child in self.children:
-            child.execute(ctx, trace)
-        return ctx.indexes.edge_set(assoc)
 
 
 class IndexJoin(PhysicalNode):
@@ -331,11 +259,6 @@ class FreeSetScan(PhysicalNode):
         return non_associate(left, right, ctx.graph, assoc, a_cls, b_cls)
 
 
-# ----------------------------------------------------------------------
-# set operators
-# ----------------------------------------------------------------------
-
-
 class HashIntersect(PhysicalNode):
     strategy = "hash-intersect"
 
@@ -372,11 +295,6 @@ class DivideOp(PhysicalNode):
         return a_divide(left, right, self.expr.classes)
 
 
-# ----------------------------------------------------------------------
-# unary operators
-# ----------------------------------------------------------------------
-
-
 class FilterScan(PhysicalNode):
     """σ via per-pattern ``Predicate.evaluate`` — the object path."""
 
@@ -385,28 +303,6 @@ class FilterScan(PhysicalNode):
     def _execute(self, ctx, trace, span):
         operand = self.children[0].execute(ctx, trace)
         return a_select(operand, self.expr.predicate, ctx.graph)
-
-
-class ValueIndexSelect(PhysicalNode):
-    """``σ(X)[X = const]`` answered from the per-class value index.
-
-    The operand extent is still evaluated for its span; the candidate set
-    comes from the index, and the full predicate re-checks it (cheap — the
-    candidates already match — and keeps semantics exactly aligned with
-    the reference kernel for exotic value types).
-    """
-
-    strategy = "value-index-scan"
-
-    def __init__(self, expr, children, key, deps, cls: str, value: Any) -> None:
-        super().__init__(expr, children, key, deps)
-        self.cls = cls
-        self.value = value
-
-    def _execute(self, ctx, trace, span):
-        self.children[0].execute(ctx, trace)
-        candidates = ctx.indexes.find_by_value(self.cls, self.value)
-        return a_select(candidates, self.expr.predicate, ctx.graph)
 
 
 class ProjectOp(PhysicalNode):
@@ -425,13 +321,13 @@ class ProjectOp(PhysicalNode):
 class CompactNode(PhysicalNode):
     """A plan node running inside a compact region.
 
-    A *compact region* is a maximal subtree closed over kernel-supported
-    operators.  Interior nodes exchange :class:`CompactSet` values through
+    A *compact region* is a maximal subtree of CompactNodes.  Interior
+    nodes exchange :class:`CompactSet` values through
     :meth:`execute_compact`; the region's root is reached through the
     ordinary :meth:`execute` protocol and decodes its kernel result at the
     boundary, so callers (and the span tree) see exactly what the
     reference nodes produce.  ``span.attributes["kernel"]`` names the
-    batch kernel that ran; the strategy is ``compact-kernel`` throughout.
+    batch kernel that ran.
     """
 
     strategy = "compact-kernel"
@@ -451,17 +347,6 @@ class CompactNode(PhysicalNode):
     # -- interior protocol: compact in, compact out ----------------------
 
     def execute_compact(self, ctx: ExecContext, trace: Tracer | None) -> CompactSet:
-        if ctx.precomputed is not None:
-            entry = ctx.precomputed.get(id(self))
-            if entry is not None:
-                result, branch = entry
-                if trace is not None and branch is not None:
-                    _adopt_spans(trace, branch)
-                # Branch workers run through execute() and hand back a
-                # decoded set; re-encoding is interning lookups only.
-                if isinstance(result, CompactSet):
-                    return result
-                return ctx.arena.encode_set(result)
         if trace is None:
             return self._compact_cached(ctx, None, None)
         span = trace.begin(str(self.expr), self.expr.kind, strategy=self.strategy)
@@ -497,22 +382,40 @@ class CompactNode(PhysicalNode):
         raise NotImplementedError
 
 
-class CompactExtentScan(CompactNode):
+class ExtentScan(CompactNode):
+    """A class extent: the arena's compact extent, decoded only at a root."""
+
+    strategy = "extent-scan"
     kernel = "extent"
+    label = PhysicalNode.label
+
+    def _execute(self, ctx, trace, span):
+        return ctx.arena.extent_set(self.expr.name)
 
     def _kernel(self, ctx, trace, span):
         return ctx.arena.extent_cset(self.expr.name)
 
 
-class CompactLiteral(CompactNode):
+class LiteralValue(CompactNode):
+    """A literal association-set, encoded only inside a region."""
+
+    strategy = "literal"
     kernel = "encode"
+    label = PhysicalNode.label
+
+    def _execute(self, ctx, trace, span):
+        return self.expr.value
 
     def _kernel(self, ctx, trace, span):
         return ctx.arena.encode_set(self.expr.value)
 
 
 class CompactEdgeScan(CompactNode):
-    """Associate of two bare extents: the arena's edge set IS the answer."""
+    """Associate of two bare extents: the arena's edge set IS the answer.
+
+    The operand extents are still executed: their spans are part of the
+    query's observable shape, and they are cached reads.
+    """
 
     kernel = "edge-scan"
 
@@ -579,12 +482,12 @@ class CompactDifference(CompactNode):
 
 
 class CompactValueSelect(CompactNode):
-    """``σ(X)[X = const]`` over the value index, interned on the way in.
+    """``σ(X)[X = const]`` over the graph's value index.
 
-    Mirrors :class:`ValueIndexSelect`: the operand extent runs for its
-    span only; candidates come from the index and the full predicate
-    re-checks each one (on its decoded Inner-pattern, so exotic value
-    types behave exactly as in the reference).
+    The operand extent runs for its span only; candidates come from the
+    index and the full predicate re-checks each one (on its decoded
+    Inner-pattern, so exotic value types behave exactly as in the
+    reference).
     """
 
     kernel = "value-index"
@@ -684,8 +587,18 @@ def _shard_select_probe(expr):
     return None
 
 
-#: Binary operators a compact region can contain (Select is handled apart).
-_KERNEL_OPS = (Associate, NonAssociate, Intersect, Union, Difference)
+#: Operator → (kernel node, reference node), σ apart.  Keyed by exact
+#: type: the planner looks each node up once.
+_NODES: dict[type, tuple[type | None, type]] = {
+    Associate: (CompactJoin, IndexJoin),
+    NonAssociate: (CompactFreeSetScan, FreeSetScan),
+    Intersect: (CompactIntersect, HashIntersect),
+    Union: (CompactUnion, UnionOp),
+    Difference: (CompactDifference, DifferenceOp),
+    Complement: (None, ComplementScan),
+    Divide: (None, DivideOp),
+    Project: (None, ProjectOp),
+}
 
 
 # ----------------------------------------------------------------------
@@ -694,34 +607,27 @@ _KERNEL_OPS = (Associate, NonAssociate, Intersect, Union, Difference)
 
 
 class PhysicalPlanner:
-    """Turns logical expression trees into physical plans.
+    """Turns logical expression trees into physical plans, bottom-up.
 
-    With ``compact=True`` (the default) every maximal operator subtree
-    closed over the kernel-supported operators — Associate, NonAssociate,
-    A-Intersect, A-Union, A-Difference, and value-index A-Select — plans
-    as a compact region executed by the batch kernels; everything else
-    keeps the reference strategies.  Kernel-supported operators that fall
-    back (an unsupported operand below them, or an unresolvable
-    association) are counted by ``repro_compact_fallback_total``.
+    One rule places every node.  Its children are planned first; the node
+    is then a :class:`CompactNode` iff the kernels cover its operator and
+    every child is a CompactNode (leaves always are).  The kernels cover
+    Associate and NonAssociate over a resolvable association, A-Intersect,
+    A-Union, A-Difference, and σ over a bare extent whose predicate is a
+    value-index equality, a shard filter, or compiles to column masks.
+    Everything else runs its reference operator on decoded sets.
 
-    With ``compiled_select=True`` (the default) a σ over a bare extent
-    whose predicate the column compiler can lower plans as a
-    ``compact-select`` mask evaluation; σ-over-extent predicates it
-    cannot lower are counted by ``repro_select_fallback_total`` and run
-    the object path.  ``repro_select_compiled_total`` counts the lowered
-    ones.
+    ``repro_compact_fallback_total`` counts kernel-covered binary
+    operators that the rule leaves on reference nodes (an uncovered
+    operand below them, or an unresolvable association, which then raises
+    at execution, at the same tree position as the reference evaluator).
+    ``repro_select_compiled_total`` counts σ lowered to column masks and
+    ``repro_select_fallback_total`` σ over a bare extent that could not
+    be lowered and runs the object path.
     """
 
-    def __init__(
-        self,
-        graph: ObjectGraph,
-        metrics=None,
-        compact: bool = True,
-        compiled_select: bool = True,
-    ) -> None:
+    def __init__(self, graph: ObjectGraph, metrics=None) -> None:
         self.graph = graph
-        self.compact = compact
-        self.compiled_select = compiled_select
         if metrics is not None:
             self._m_fallbacks = metrics.counter(
                 "repro_compact_fallback_total",
@@ -740,172 +646,49 @@ class PhysicalPlanner:
             self._m_select_compiled = None
             self._m_select_fallback = None
 
-    def plan(
-        self,
-        expr: Expr,
-        compact: bool | None = None,
-        compiled_select: bool | None = None,
-    ) -> PhysicalNode:
-        """The physical plan for ``expr`` (node-for-node mirror).
+    def plan(self, expr: Expr) -> PhysicalNode:
+        """The physical plan for ``expr`` (node-for-node mirror)."""
+        # Entered once per query (the recursion is in _plan), so wrapping
+        # it, as the per-layer benchmark tracer does, counts whole plans.
+        return self._plan(expr)
 
-        ``compact`` and ``compiled_select`` override the planner's
-        defaults for this one call — ``False`` forces the reference
-        strategies, ``True`` enables them, ``None`` keeps the
-        constructor's setting.  The flags are threaded through the
-        recursion (not stored), so concurrent ``plan`` calls with
-        different overrides are safe.
-        """
-        return self._plan(
-            expr,
-            self.compact if compact is None else bool(compact),
-            self.compiled_select
-            if compiled_select is None
-            else bool(compiled_select),
-        )
-
-    def _plan(self, expr: Expr, compact: bool, compiled: bool) -> PhysicalNode:
+    def _plan(self, expr: Expr) -> PhysicalNode:
         if isinstance(expr, ClassExtent):
-            # Cached by the IndexManager itself; no plan-cache entry.
+            # The arena maintains extents itself; no plan-cache entry.
             return ExtentScan(expr, (), None, frozenset({expr.name}))
         if isinstance(expr, Literal):
             return LiteralValue(expr, (), None, frozenset())
 
-        if compact:
-            if self._compact_ok(expr, compiled):
-                return self._plan_compact(expr, compiled)
-            if isinstance(expr, _KERNEL_OPS) and self._m_fallbacks is not None:
-                self._m_fallbacks.inc()
-            if (
-                compiled
-                and isinstance(expr, Select)
-                and isinstance(expr.operand, ClassExtent)
-                and self._m_select_fallback is not None
-            ):
-                self._m_select_fallback.inc()
-
-        children = tuple(
-            self._plan(child, compact, compiled) for child in expr.children()
-        )
-        key = canonicalize(expr)
-        deps = frozenset().union(*(c.deps for c in children)) if children else frozenset()
-
-        if isinstance(expr, Associate):
-            return self._plan_associate(expr, children, key, deps)
-        if isinstance(expr, (Complement, NonAssociate)):
-            deps = deps | self._assoc_deps(expr)
-            node_cls = ComplementScan if isinstance(expr, Complement) else FreeSetScan
-            return node_cls(expr, children, key, deps)
-        if isinstance(expr, Intersect):
-            return HashIntersect(expr, children, key, deps)
-        if isinstance(expr, Union):
-            return UnionOp(expr, children, key, deps)
-        if isinstance(expr, Difference):
-            return DifferenceOp(expr, children, key, deps)
-        if isinstance(expr, Divide):
-            return DivideOp(expr, children, key, deps)
-        if isinstance(expr, Select):
-            return self._plan_select(expr, children, key, deps)
-        if isinstance(expr, Project):
-            return ProjectOp(expr, children, key, deps)
-        raise TypeError(f"unknown expression node {expr!r}")  # pragma: no cover
-
-    def _assoc_deps(self, expr) -> frozenset[str]:
-        """End classes of a binary graph operator's association, if resolvable.
-
-        Needed because a Literal operand contributes no class dependencies
-        of its own, yet the node's result changes with the association's
-        edges.  Unresolvable nodes raise the same error at execution time,
-        so their (never-produced) results need no dependencies.
-        """
-        try:
-            _, a_cls, b_cls = expr.resolve(self.graph)
-        except EvaluationError:
-            return frozenset()
-        return frozenset({a_cls, b_cls})
-
-    def _plan_associate(self, expr, children, key, deps) -> PhysicalNode:
-        deps = deps | self._assoc_deps(expr)
-        if edge_scannable(expr, self.graph):
-            return EdgeScanJoin(expr, children, key, deps)
-        return IndexJoin(expr, children, key, deps)
-
-    def _plan_select(self, expr, children, key, deps) -> PhysicalNode:
-        deps = deps | predicate_classes(expr.predicate)
-        probe = value_index_probe(expr)
-        if probe is not None:
-            cls, value = probe
-            return ValueIndexSelect(expr, children, key, deps, cls, value)
-        return FilterScan(expr, children, key, deps)
-
-    # ------------------------------------------------------------------
-    # compact regions
-    # ------------------------------------------------------------------
-
-    def _compact_ok(self, expr: Expr, compiled: bool) -> bool:
-        """Whether ``expr`` is an operator subtree the kernels fully cover.
-
-        Leaves (extents, literals) are encodable but do not *start* a
-        region — a bare extent at the root stays a plain extent-scan.
-        Associate/NonAssociate additionally need a resolvable association
-        (unresolvable ones must raise through the reference path, at the
-        same tree position).
-        """
-        if isinstance(expr, (Associate, NonAssociate)):
-            try:
-                expr.resolve(self.graph)
-            except EvaluationError:
-                return False
-            return self._encodable(expr.left, compiled) and self._encodable(
-                expr.right, compiled
-            )
-        if isinstance(expr, (Intersect, Union, Difference)):
-            return self._encodable(expr.left, compiled) and self._encodable(
-                expr.right, compiled
-            )
-        if isinstance(expr, Select):
-            # Both σ forms apply only over a bare extent, which is always
-            # encodable: the value-index probe, and the compiled column
-            # masks (exact only over singleton patterns).
-            if value_index_probe(expr) is not None:
-                return True
-            if _shard_select_probe(expr) is not None:
-                return True
-            return compiled and compiled_select_probe(expr) is not None
-        return False
-
-    def _encodable(self, expr: Expr, compiled: bool) -> bool:
-        if isinstance(expr, (ClassExtent, Literal)):
-            return True
-        return self._compact_ok(expr, compiled)
-
-    def _plan_compact(self, expr: Expr, compiled: bool) -> CompactNode:
-        if isinstance(expr, ClassExtent):
-            return CompactExtentScan(expr, (), None, frozenset({expr.name}))
-        if isinstance(expr, Literal):
-            return CompactLiteral(expr, (), None, frozenset())
-
-        children = tuple(
-            self._plan_compact(child, compiled) for child in expr.children()
-        )
+        children = tuple(self._plan(child) for child in expr.children())
         key = canonicalize(expr)
         deps = frozenset().union(*(c.deps for c in children))
+        if isinstance(expr, Select):
+            deps = deps | predicate_classes(expr.predicate)
+            return self._plan_select(expr, children, key, deps)
 
-        if isinstance(expr, Associate):
-            deps = deps | self._assoc_deps(expr)
+        kernel_cls, reference_cls = _NODES[type(expr)]
+        covered = kernel_cls is not None and all(
+            isinstance(c, CompactNode) for c in children
+        )
+        if isinstance(expr, (Associate, NonAssociate, Complement)):
+            # The association's end classes are dependencies of their own:
+            # a Literal operand contributes none, yet the result changes
+            # with the association's edges.
+            try:
+                _, a_cls, b_cls = expr.resolve(self.graph)
+            except EvaluationError:
+                covered = False
+            else:
+                deps = deps | {a_cls, b_cls}
+        if covered:
             if edge_scannable(expr, self.graph):
                 return CompactEdgeScan(expr, children, key, deps)
-            return CompactJoin(expr, children, key, deps)
-        if isinstance(expr, NonAssociate):
-            deps = deps | self._assoc_deps(expr)
-            return CompactFreeSetScan(expr, children, key, deps)
-        if isinstance(expr, Intersect):
-            return CompactIntersect(expr, children, key, deps)
-        if isinstance(expr, Union):
-            return CompactUnion(expr, children, key, deps)
-        if isinstance(expr, Difference):
-            return CompactDifference(expr, children, key, deps)
-        assert isinstance(expr, Select)  # guaranteed by _compact_ok
-        deps = deps | predicate_classes(expr.predicate)
+            return kernel_cls(expr, children, key, deps)
+        if kernel_cls is not None and self._m_fallbacks is not None:
+            self._m_fallbacks.inc()
+        return reference_cls(expr, children, key, deps)
+
+    def _plan_select(self, expr, children, key, deps) -> PhysicalNode:
         probe = value_index_probe(expr)
         if probe is not None:
             cls, value = probe
@@ -914,6 +697,13 @@ class PhysicalPlanner:
         if flt is not None:
             return CompactShardSelect(expr, children, key, deps, flt)
         cls = compiled_select_probe(expr)
-        if self._m_select_compiled is not None:
-            self._m_select_compiled.inc()
-        return CompactMaskSelect(expr, children, key, deps, cls)
+        if cls is not None:
+            if self._m_select_compiled is not None:
+                self._m_select_compiled.inc()
+            return CompactMaskSelect(expr, children, key, deps, cls)
+        if (
+            isinstance(expr.operand, ClassExtent)
+            and self._m_select_fallback is not None
+        ):
+            self._m_select_fallback.inc()
+        return FilterScan(expr, children, key, deps)

@@ -6,23 +6,16 @@ sub-expressions, each of which can be evaluated independently and produces
 a homogeneous association-set with simpler structure".
 
 :func:`decompose_unions` splits a plan into its maximal top-level A-Union
-branches; :func:`evaluate_parallel` evaluates the branches concurrently
-and unions the results.  (CPython threads do not speed up this pure-Python
-workload — the point is the *correct independent decomposition* the paper
-describes; on the paper's parallel hardware each branch would go to its
-own processor.)
+branches.  The engine's own parallelism is the sharded worker pool
+(:mod:`repro.shard`), which partitions data rather than branches: CPython
+threads do not speed up this pure-Python workload.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import Executor, ThreadPoolExecutor
-
-from repro.core.assoc_set import AssociationSet
 from repro.core.expression import Expr, Union
-from repro.core.operators import a_union
-from repro.objects.graph import ObjectGraph
 
-__all__ = ["decompose_unions", "evaluate_parallel"]
+__all__ = ["decompose_unions"]
 
 
 def decompose_unions(expr: Expr) -> list[Expr]:
@@ -35,35 +28,3 @@ def decompose_unions(expr: Expr) -> list[Expr]:
     if isinstance(expr, Union):
         return decompose_unions(expr.left) + decompose_unions(expr.right)
     return [expr]
-
-
-def evaluate_parallel(
-    expr: Expr,
-    graph: ObjectGraph,
-    executor: Executor | None = None,
-    max_workers: int = 4,
-) -> AssociationSet:
-    """Evaluate ``expr`` by running its A-Union branches concurrently."""
-    branches = decompose_unions(expr)
-    if len(branches) == 1:
-        return expr.evaluate(graph)
-    if executor is not None:
-        return _gather(executor, branches, graph)
-    # Own the pool through a context manager so it is shut down on every
-    # exit path; a failed branch additionally cancels the not-yet-started
-    # ones instead of letting them run to completion for nothing.
-    with ThreadPoolExecutor(max_workers) as pool:
-        return _gather(pool, branches, graph)
-
-
-def _gather(pool: Executor, branches: list[Expr], graph: ObjectGraph) -> AssociationSet:
-    futures = [pool.submit(branch.evaluate, graph) for branch in branches]
-    result = AssociationSet.empty()
-    try:
-        for future in futures:
-            result = a_union(result, future.result())
-    except BaseException:
-        for future in futures:
-            future.cancel()
-        raise
-    return result

@@ -12,7 +12,7 @@ knowledge sources the :class:`~repro.optimizer.cost.CostModel` consumes:
   for both the regular and the complement fan-out — not just means).
   Populated by :meth:`StatisticsCatalog.analyze` (full scan, or sampled
   with ``sample=N``), kept fresh incrementally from the same mutation
-  events that :class:`~repro.exec.indexes.IndexManager` consumes, and
+  events that :class:`~repro.exec.arena.PatternArena` consumes, and
   stamped with a monotonically increasing ``version``.
 
 * :class:`FeedbackStore` — actual cardinalities per canonical sub-plan,

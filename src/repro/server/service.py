@@ -782,7 +782,6 @@ class QueryService:
         db = session.database
         explain = bool(request.get("explain", False))
         want_trace = bool(request.get("trace", False))
-        compact = request.get("compact")
         use_cache = bool(request.get("use_cache", True))
         trace_ctx = request.get("trace_ctx")
         trace_ctx = trace_ctx if isinstance(trace_ctx, dict) else {}
@@ -813,19 +812,10 @@ class QueryService:
                     )
                     server_span.children.append(queue_span)
                 result = db.query(
-                    text,
-                    trace=tracer,
-                    explain=explain,
-                    compact=compact if isinstance(compact, bool) else None,
-                    use_cache=use_cache,
+                    text, trace=tracer, explain=explain, use_cache=use_cache
                 )
         else:
-            result = db.query(
-                text,
-                explain=explain,
-                compact=compact if isinstance(compact, bool) else None,
-                use_cache=use_cache,
-            )
+            result = db.query(text, explain=explain, use_cache=use_cache)
         finished = time.perf_counter()
         elapsed_ms = (finished - started) * 1e3
 

@@ -1,9 +1,9 @@
 """Differential properties for the column store and compiled σ masks.
 
 Three batteries, all demanding bit-identical :class:`AssociationSet`
-results between the compiled column-mask σ path, the per-pattern object
-path (``compiled_select=False``), and the logical reference
-``Expr.evaluate``:
+results from the logical reference ``Expr.evaluate`` and both physical σ
+routes: the compiled column-mask path (σ over a bare extent) and the
+per-pattern object path (σ over anything else):
 
 1. randomized valued graphs × randomized predicate trees (comparisons in
    both orientations, IN-lists, and/or/not, mixed value types including
@@ -18,7 +18,7 @@ path (``compiled_select=False``), and the logical reference
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
 
-from repro.core.expression import Select, ref
+from repro.core.expression import Associate, Select, ref
 from repro.core.predicates import (
     And,
     ClassValues,
@@ -131,14 +131,19 @@ def sigma_predicates(draw, max_depth: int = 2):
     return tree(max_depth)
 
 
-def _assert_three_way(executor: Executor, graph: ObjectGraph, predicate) -> None:
-    """Compiled σ == object σ == ``evaluate`` for σ(P)[predicate]."""
-    expr = Select(ref("P"), predicate)
-    reference = expr.evaluate(graph)
-    compiled = executor.run(expr, use_cache=False)
-    objected = executor.run(expr, use_cache=False, compiled_select=False)
-    assert compiled == reference, f"compiled σ diverged on {predicate}"
-    assert objected == reference, f"object σ diverged on {predicate}"
+def _object_path(predicate) -> Select:
+    """σ[predicate] over ``P * E``: no bare extent, so no column masks."""
+    return Select(Associate(ref("P"), ref("E")), predicate)
+
+
+def _assert_both_routes(executor: Executor, graph: ObjectGraph, predicate) -> None:
+    """Compiled σ and object σ each equal ``evaluate`` for one predicate."""
+    for label, expr in (
+        ("compiled", Select(ref("P"), predicate)),
+        ("object", _object_path(predicate)),
+    ):
+        got = executor.run(expr, use_cache=False)
+        assert got == expr.evaluate(graph), f"{label} σ diverged on {predicate}"
 
 
 # ----------------------------------------------------------------------
@@ -161,7 +166,8 @@ def test_compiled_select_matches_object_path_and_reference(data):
             "compact-select",
             "compact-kernel",
         )
-        _assert_three_way(executor, graph, predicate)
+        assert executor.plan(_object_path(predicate)).strategy == "object-eval"
+        _assert_both_routes(executor, graph, predicate)
 
 
 # ----------------------------------------------------------------------
@@ -180,12 +186,9 @@ def test_columns_stay_correct_across_event_driven_mutations(data):
 
     def check():
         for predicate in predicates:
-            expr = Select(ref("P"), predicate)
-            assert db.query(expr, use_cache=False).set == expr.evaluate(db.graph)
-            assert (
-                db.query(expr, use_cache=False, compiled_select=False).set
-                == expr.evaluate(db.graph)
-            )
+            for expr in (Select(ref("P"), predicate), _object_path(predicate)):
+                got = db.query(expr, use_cache=False).set
+                assert got == expr.evaluate(db.graph)
 
     # Plain-equality predicates may plan through the value index and
     # never touch the columns — materialize explicitly so the event
@@ -242,7 +245,7 @@ def test_rollback_resets_columns_through_version_guard(data):
 
     # rollback emits no events: only the version guard can save us
     db.rollback(saved)
-    _assert_three_way(db.executor, db.graph, predicate)
+    _assert_both_routes(db.executor, db.graph, predicate)
 
 
 @given(st.data())
@@ -259,4 +262,4 @@ def test_out_of_band_value_write_resets_columns(data):
     # write straight to the graph, bypassing every event channel
     target = sorted(graph.extent("P"))[0]
     graph.set_value(target, data.draw(st.sampled_from(VALUE_POOL)))
-    _assert_three_way(executor, graph, predicate)
+    _assert_both_routes(executor, graph, predicate)

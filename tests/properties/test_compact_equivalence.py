@@ -1,39 +1,19 @@
-"""Differential properties for the compact-kernel execution path.
+"""Differential properties for the compact executor's shared arena state.
 
-Three batteries, all demanding bit-identical :class:`AssociationSet`
-results:
-
-1. each batch kernel in :mod:`repro.exec.kernels` against its reference
-   operator, round-tripped through a :class:`PatternArena`;
-2. the compact executor against the PR-2 indexed executor
-   (``compact=False``) and the logical evaluator across every execution
-   mode, over random graphs/expressions and the datagen workloads;
-3. mutation interleaving — event-driven :class:`Database` mutations that
-   patch the arena incrementally, and out-of-band graph writes that trip
-   the version guard and force a full arena reset / re-intern.
+The executor keeps one :class:`PatternArena` per graph: interning tables
+plus the indexed access paths (extent sets, edge csets) built lazily as
+queries touch classes and associations.  A query's answer must not depend
+on what earlier queries left in that state.  Both properties below run
+the same expression through executors whose arenas were filled in
+different orders and demand results bit-identical to the logical
+evaluator's.
 """
 
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
 
-from repro.core.assoc_set import AssociationSet
-from repro.core.operators import (
-    a_difference,
-    a_intersect,
-    a_union,
-    associate,
-    non_associate,
-)
 from repro.datagen import chain_dataset, figure10_dataset, workload
-from repro.engine.database import Database
-from repro.exec import Executor, PatternArena
-from repro.exec.kernels import (
-    k_associate,
-    k_difference,
-    k_intersect,
-    k_nonassociate,
-    k_union,
-)
+from repro.exec import Executor
 from tests.properties.expr_strategies import expressions
 from tests.properties.strategies import object_graphs
 
@@ -44,162 +24,37 @@ RELAXED = settings(
 )
 
 
-# ----------------------------------------------------------------------
-# 1. kernels vs reference operators
-# ----------------------------------------------------------------------
-
-
-def _kernel_fixture(seed):
-    ds = chain_dataset(n_classes=3, extent_size=10, density=0.25, seed=seed)
-    graph = ds.graph
-    arena = PatternArena(graph)
-    k0 = AssociationSet.of_inners(graph.extent("K0"))
-    k1 = AssociationSet.of_inners(graph.extent("K1"))
-    k2 = AssociationSet.of_inners(graph.extent("K2"))
-    a01 = ds.schema.resolve("K0", "K1")
-    a12 = ds.schema.resolve("K1", "K2")
-    chains = associate(k0, k1, graph, a01)
-    longer = associate(chains, k2, graph, a12)
-    return ds, graph, arena, (k0, k1, k2), (a01, a12), chains, longer
-
-
-@given(st.integers(min_value=0, max_value=19))
-@RELAXED
-def test_kernels_match_reference_operators(seed):
-    ds, graph, arena, (k0, k1, k2), (a01, a12), chains, longer = _kernel_fixture(
-        seed
-    )
-    enc = arena.encode_set
-    dec = arena.decode_set
-
-    assert dec(enc(associate(k0, k1, graph, a01))) == associate(
-        k0, k1, graph, a01
-    )
-    assert dec(k_associate(arena, enc(k0), enc(k1), a01, "K0", "K1")) == associate(
-        k0, k1, graph, a01
-    )
-    assert dec(
-        k_associate(arena, enc(chains), enc(k2), a12, "K1", "K2")
-    ) == associate(chains, k2, graph, a12)
-    assert dec(
-        k_nonassociate(arena, enc(k0), enc(k1), a01, "K0", "K1")
-    ) == non_associate(k0, k1, graph, a01)
-    assert dec(
-        k_nonassociate(arena, enc(chains), enc(k2), a12, "K1", "K2")
-    ) == non_associate(chains, k2, graph, a12)
-    assert dec(k_union(enc(k0), enc(chains))) == a_union(k0, chains)
-    assert dec(k_difference(enc(chains), enc(k0))) == a_difference(chains, k0)
-    assert dec(k_difference(enc(longer), enc(chains))) == a_difference(
-        longer, chains
-    )
-    # explicit {W} list and the implicit shared-class default
-    assert dec(
-        k_intersect(arena, enc(chains), enc(longer), ("K1",))
-    ) == a_intersect(chains, longer, ["K1"])
-    assert dec(k_intersect(arena, enc(chains), enc(longer))) == a_intersect(
-        chains, longer
-    )
-
-
-# ----------------------------------------------------------------------
-# 2. compact executor vs indexed executor vs logical evaluator
-# ----------------------------------------------------------------------
-
-
 @given(st.data())
 @RELAXED
 def test_compact_executor_matches_indexed_and_reference(data):
+    """A fresh arena and one pre-indexed by another query agree."""
     graph = data.draw(object_graphs(max_extent=3))
     expr = data.draw(expressions(depth=2))
+    warmup = data.draw(expressions(depth=2))
     reference = expr.evaluate(graph)
-    compact = Executor(graph)
-    indexed = Executor(graph, compact=False)
-    for label, executor in (("compact", compact), ("indexed", indexed)):
+
+    fresh = Executor(graph)
+    indexed = Executor(graph)
+    assert indexed.run(warmup) == warmup.evaluate(graph)
+    for label, executor in (("fresh", fresh), ("indexed", indexed)):
         assert executor.run(expr) == reference, f"{label} cold diverged"
-        assert executor.run(expr) == reference, f"{label} warm diverged"
         assert (
             executor.run(expr, use_cache=False) == reference
         ), f"{label} uncached diverged"
         assert (
-            executor.run(expr, parallel=True) == reference
-        ), f"{label} parallel diverged"
+            executor.run(expr, plan=executor.plan(expr)) == reference
+        ), f"{label} supplied plan diverged"
 
 
 def test_compact_executor_matches_reference_on_datagen_workloads():
+    """A shared arena filled in reverse order matches fresh executors."""
     for ds in (
         chain_dataset(n_classes=5, extent_size=12, density=0.15, seed=3),
         figure10_dataset(extent_size=10, density=0.2, seed=7),
     ):
-        compact = Executor(ds.graph)
-        indexed = Executor(ds.graph, compact=False)
-        for expr in workload(ds.schema, n_queries=20, max_hops=4, seed=11):
+        queries = workload(ds.schema, n_queries=20, max_hops=4, seed=11)
+        shared = Executor(ds.graph)
+        for expr in reversed(queries):
             reference = expr.evaluate(ds.graph)
-            assert compact.run(expr) == reference
-            assert compact.run(expr, parallel=True) == reference
-            assert indexed.run(expr, use_cache=False) == reference
-
-
-# ----------------------------------------------------------------------
-# 3. mutation interleaving
-# ----------------------------------------------------------------------
-
-
-@given(st.integers(min_value=0, max_value=19))
-@RELAXED
-def test_compact_stays_correct_across_event_driven_mutations(seed):
-    """Insert / link / unlink / delete events patch the arena in place."""
-    ds = chain_dataset(n_classes=3, extent_size=8, density=0.3, seed=seed)
-    db = Database.from_dataset(ds)
-    queries = workload(ds.schema, n_queries=6, max_hops=3, seed=seed + 1)
-
-    def check():
-        for expr in queries:
-            assert db.query(expr).set == expr.evaluate(db.graph)
-
-    check()  # populate the arena and the plan cache
-
-    k0 = sorted(db.graph.extent("K0"))[0]
-    k1 = sorted(db.graph.extent("K1"))[0]
-    assoc = ds.schema.resolve("K0", "K1")
-    if (k0, k1) in set(db.graph.edges(assoc)):
-        db.unlink(k0, k1)
-    else:
-        db.link(k0, k1)
-    check()
-
-    created = db.insert("K1")
-    db.link(k0, created["K1"])
-    check()
-
-    db.delete(sorted(db.graph.extent("K2"))[0])
-    check()
-
-
-@given(st.integers(min_value=0, max_value=19))
-@RELAXED
-def test_out_of_band_mutations_force_arena_reintern(seed):
-    """Direct graph writes bypass the event stream: the version guard must
-    reset the arena (dropping every interned id) and answers stay fresh."""
-    ds = chain_dataset(n_classes=3, extent_size=8, density=0.3, seed=seed)
-    executor = Executor(ds.graph)
-    queries = workload(ds.schema, n_queries=6, max_hops=3, seed=seed + 2)
-    for expr in queries:
-        assert executor.run(expr) == expr.evaluate(ds.graph)
-    interned_before = len(executor.arena._iids)
-    assert interned_before > 0
-
-    assoc = ds.schema.resolve("K0", "K1")
-    k0 = sorted(ds.graph.extent("K0"))[0]
-    k1 = sorted(ds.graph.extent("K1"))[0]
-    if (k0, k1) in set(ds.graph.edges(assoc)):
-        ds.graph.remove_edge(assoc, k0, k1)
-    else:
-        ds.graph.add_edge(assoc, k0, k1)
-
-    # first run after the guard trips: arena restarts from nothing
-    expr = queries[0]
-    assert executor.run(expr) == expr.evaluate(ds.graph)
-    assert len(executor.arena._iids) <= interned_before
-    for expr in queries:
-        assert executor.run(expr) == expr.evaluate(ds.graph)
-        assert executor.run(expr, use_cache=False) == expr.evaluate(ds.graph)
+            assert shared.run(expr, use_cache=False) == reference
+            assert Executor(ds.graph).run(expr) == reference

@@ -1,15 +1,22 @@
-"""Differential property: the physical executor agrees with the reference.
+"""Differential battery: the physical executor agrees with the reference.
 
-The logical evaluator (:meth:`Expr.evaluate`) is the semantic ground
-truth; the executor in :mod:`repro.exec` is an accelerator.  These
-properties quantify over random object graphs and random expressions
-covering all nine operators (via the shared strategies) and demand
-bit-identical results from every execution mode — cold cache, warm
-cache, cache bypassed, and parallel branch dispatch.
+The logical evaluator (:meth:`Expr.evaluate`) and the reference operators
+of :mod:`repro.core.operators` are the semantic ground truth; the
+executor in :mod:`repro.exec` is an accelerator whose plans mix compact
+kernel regions with reference-operator nodes.  Every property below
+demands bit-identical :class:`AssociationSet` results:
 
-A second battery drives the same differential with the deterministic
-:mod:`repro.datagen` generators (the benchmark datasets), plus
-invalidation under interleaved mutations.
+1. each batch kernel in :mod:`repro.exec.kernels` against its reference
+   operator, round-tripped through a :class:`PatternArena`;
+2. whole plans over random object graphs and random expressions covering
+   all nine operators, and over the :mod:`repro.datagen` workloads — cold
+   cache, warm cache and cache bypassed;
+3. mutation interleaving — event-driven :class:`Database` mutations that
+   patch the arena incrementally, and out-of-band graph writes that trip
+   the version guard and force a full arena reset / re-intern.
+
+σ predicates over typed columns have their own battery against the same
+oracle in ``test_column_equivalence.py``.
 """
 
 import random
@@ -17,8 +24,24 @@ import random
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
 
+from repro.core.assoc_set import AssociationSet
+from repro.core.operators import (
+    a_difference,
+    a_intersect,
+    a_union,
+    associate,
+    non_associate,
+)
 from repro.datagen import chain_dataset, figure10_dataset, workload
-from repro.exec import Executor
+from repro.engine.database import Database
+from repro.exec import Executor, PatternArena
+from repro.exec.kernels import (
+    k_associate,
+    k_difference,
+    k_intersect,
+    k_nonassociate,
+    k_union,
+)
 from tests.properties.expr_strategies import expressions
 from tests.properties.strategies import object_graphs
 
@@ -29,17 +52,138 @@ RELAXED = settings(
 )
 
 
+# ----------------------------------------------------------------------
+# 1. kernels vs reference operators
+# ----------------------------------------------------------------------
+
+
+def _kernel_fixture(seed):
+    ds = chain_dataset(n_classes=3, extent_size=10, density=0.25, seed=seed)
+    graph = ds.graph
+    arena = PatternArena(graph)
+    k0 = AssociationSet.of_inners(graph.extent("K0"))
+    k1 = AssociationSet.of_inners(graph.extent("K1"))
+    k2 = AssociationSet.of_inners(graph.extent("K2"))
+    a01 = ds.schema.resolve("K0", "K1")
+    a12 = ds.schema.resolve("K1", "K2")
+    chains = associate(k0, k1, graph, a01)
+    longer = associate(chains, k2, graph, a12)
+    return graph, arena, (k0, k1, k2), (a01, a12), chains, longer
+
+
+@given(st.integers(min_value=0, max_value=19))
+@RELAXED
+def test_kernels_match_reference_operators(seed):
+    graph, arena, (k0, k1, k2), (a01, a12), chains, longer = _kernel_fixture(seed)
+    enc = arena.encode_set
+    dec = arena.decode_set
+
+    assert dec(enc(associate(k0, k1, graph, a01))) == associate(
+        k0, k1, graph, a01
+    )
+    assert dec(k_associate(arena, enc(k0), enc(k1), a01, "K0", "K1")) == associate(
+        k0, k1, graph, a01
+    )
+    assert dec(
+        k_associate(arena, enc(chains), enc(k2), a12, "K1", "K2")
+    ) == associate(chains, k2, graph, a12)
+    assert dec(
+        k_nonassociate(arena, enc(k0), enc(k1), a01, "K0", "K1")
+    ) == non_associate(k0, k1, graph, a01)
+    assert dec(
+        k_nonassociate(arena, enc(chains), enc(k2), a12, "K1", "K2")
+    ) == non_associate(chains, k2, graph, a12)
+    assert dec(k_union(enc(k0), enc(chains))) == a_union(k0, chains)
+    assert dec(k_difference(enc(chains), enc(k0))) == a_difference(chains, k0)
+    assert dec(k_difference(enc(longer), enc(chains))) == a_difference(
+        longer, chains
+    )
+    # explicit {W} list and the implicit shared-class default
+    assert dec(
+        k_intersect(arena, enc(chains), enc(longer), ("K1",))
+    ) == a_intersect(chains, longer, ["K1"])
+    assert dec(k_intersect(arena, enc(chains), enc(longer))) == a_intersect(
+        chains, longer
+    )
+
+
+# ----------------------------------------------------------------------
+# 2. whole plans vs the logical evaluator
+# ----------------------------------------------------------------------
+
+
+def _assert_all_modes(executor, expr, reference):
+    assert executor.run(expr) == reference, "cold cache diverged"
+    assert executor.run(expr) == reference, "warm cache diverged"
+    assert executor.run(expr, use_cache=False) == reference, "uncached diverged"
+
+
 @given(st.data())
 @RELAXED
 def test_executor_matches_reference_all_modes(data):
     graph = data.draw(object_graphs(max_extent=3))
     expr = data.draw(expressions(depth=2))
-    reference = expr.evaluate(graph)
-    executor = Executor(graph)
-    assert executor.run(expr) == reference, "cold cache diverged"
-    assert executor.run(expr) == reference, "warm cache diverged"
-    assert executor.run(expr, use_cache=False) == reference, "uncached diverged"
-    assert executor.run(expr, parallel=True) == reference, "parallel diverged"
+    _assert_all_modes(Executor(graph), expr, expr.evaluate(graph))
+
+
+def test_executor_matches_reference_on_datagen_workloads():
+    """Random-walk query workloads over the benchmark datasets."""
+    for ds in (
+        chain_dataset(n_classes=5, extent_size=12, density=0.15, seed=3),
+        figure10_dataset(extent_size=10, density=0.2, seed=7),
+    ):
+        executor = Executor(ds.graph)
+        for expr in workload(ds.schema, n_queries=20, max_hops=4, seed=11):
+            _assert_all_modes(executor, expr, expr.evaluate(ds.graph))
+
+
+def test_executor_cache_survives_repeated_random_queries():
+    """Re-running a shuffled workload hits the cache, never changes answers."""
+    ds = chain_dataset(n_classes=4, extent_size=10, density=0.2, seed=5)
+    queries = workload(ds.schema, n_queries=10, seed=2)
+    executor = Executor(ds.graph)
+    reference = {str(q): q.evaluate(ds.graph) for q in queries}
+    rng = random.Random(9)
+    for _ in range(3):
+        rng.shuffle(queries)
+        for expr in queries:
+            assert executor.run(expr) == reference[str(expr)]
+
+
+# ----------------------------------------------------------------------
+# 3. mutation interleaving
+# ----------------------------------------------------------------------
+
+
+@given(st.integers(min_value=0, max_value=19))
+@RELAXED
+def test_executor_stays_correct_across_event_driven_mutations(seed):
+    """Insert / link / unlink / delete events patch the arena in place."""
+    ds = chain_dataset(n_classes=3, extent_size=8, density=0.3, seed=seed)
+    db = Database.from_dataset(ds)
+    queries = workload(ds.schema, n_queries=6, max_hops=3, seed=seed + 1)
+
+    def check():
+        for expr in queries:
+            assert db.query(expr).set == expr.evaluate(db.graph)
+
+    check()  # populate the arena and the plan cache
+
+    k0 = sorted(db.graph.extent("K0"))[0]
+    k1 = sorted(db.graph.extent("K1"))[0]
+    assoc = ds.schema.resolve("K0", "K1")
+    if (k0, k1) in set(db.graph.edges(assoc)):
+        db.unlink(k0, k1)
+    else:
+        db.link(k0, k1)
+    check()
+
+    created = db.insert("K1")
+    db.link(k0, created["K1"])
+    check()
+
+    db.delete(sorted(db.graph.extent("K2"))[0])
+    check()
 
 
 @given(st.data())
@@ -66,27 +210,31 @@ def test_executor_stays_correct_across_mutations(data):
     assert executor.run(expr) == expr.evaluate(graph), "stale after mutation"
 
 
-def test_executor_matches_reference_on_datagen_workloads():
-    """Random-walk query workloads over the benchmark datasets."""
-    for ds in (
-        chain_dataset(n_classes=5, extent_size=12, density=0.15, seed=3),
-        figure10_dataset(extent_size=10, density=0.2, seed=7),
-    ):
-        executor = Executor(ds.graph)
-        for expr in workload(ds.schema, n_queries=20, max_hops=4, seed=11):
-            reference = expr.evaluate(ds.graph)
-            assert executor.run(expr) == reference
-            assert executor.run(expr, parallel=True) == reference
-
-
-def test_executor_cache_survives_repeated_random_queries():
-    """Re-running a shuffled workload hits the cache, never changes answers."""
-    ds = chain_dataset(n_classes=4, extent_size=10, density=0.2, seed=5)
-    queries = workload(ds.schema, n_queries=10, seed=2)
+@given(st.integers(min_value=0, max_value=19))
+@RELAXED
+def test_out_of_band_mutations_force_arena_reintern(seed):
+    """Direct graph writes bypass the event stream: the version guard must
+    reset the arena (dropping every interned id) and answers stay fresh."""
+    ds = chain_dataset(n_classes=3, extent_size=8, density=0.3, seed=seed)
     executor = Executor(ds.graph)
-    reference = {str(q): q.evaluate(ds.graph) for q in queries}
-    rng = random.Random(9)
-    for _ in range(3):
-        rng.shuffle(queries)
-        for expr in queries:
-            assert executor.run(expr) == reference[str(expr)]
+    queries = workload(ds.schema, n_queries=6, max_hops=3, seed=seed + 2)
+    for expr in queries:
+        assert executor.run(expr) == expr.evaluate(ds.graph)
+    interned_before = len(executor.arena._iids)
+    assert interned_before > 0
+
+    assoc = ds.schema.resolve("K0", "K1")
+    k0 = sorted(ds.graph.extent("K0"))[0]
+    k1 = sorted(ds.graph.extent("K1"))[0]
+    if (k0, k1) in set(ds.graph.edges(assoc)):
+        ds.graph.remove_edge(assoc, k0, k1)
+    else:
+        ds.graph.add_edge(assoc, k0, k1)
+
+    # first run after the guard trips: arena restarts from nothing
+    expr = queries[0]
+    assert executor.run(expr) == expr.evaluate(ds.graph)
+    assert len(executor.arena._iids) <= interned_before
+    for expr in queries:
+        assert executor.run(expr) == expr.evaluate(ds.graph)
+        assert executor.run(expr, use_cache=False) == expr.evaluate(ds.graph)

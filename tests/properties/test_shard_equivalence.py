@@ -121,7 +121,10 @@ def test_mutation_forwarding_keeps_replicas_exact(seed, shards):
         db.link(created["K0"], partner["K1"])
         _assert_sharded_matches(db, shards)
 
-        victim = next(iter(db.graph.extent("K1")))
+        # Never the fresh partner: its link is unlinked below.
+        victim = next(
+            i for i in sorted(db.graph.extent("K1")) if i != partner["K1"]
+        )
         db.delete(victim)
         _assert_sharded_matches(db, shards)
 

@@ -51,10 +51,11 @@ class TestQuery:
         assert "EXPLAIN ANALYZE" in str(result.report)
         assert result.set == result.report.result
 
-    def test_parallel_and_uncached_agree(self, db):
+    def test_cached_and_uncached_agree(self, db):
         expr = db.compile("TA * Grad + Section ! Room#")
         reference = expr.evaluate(db.graph)
-        assert db.query(expr, parallel=True).set == reference
+        assert db.query(expr).set == reference
+        assert db.query(expr).set == reference
         assert db.query(expr, use_cache=False).set == reference
 
     def test_use_cache_false_bypasses_cache(self, db):

@@ -1,7 +1,7 @@
-"""Event-driven maintenance of the executor's indexes and cache.
+"""Event-driven maintenance of the executor's access paths and cache.
 
 Every :class:`MutationEvent` the Database emits must leave the
-:class:`~repro.exec.indexes.IndexManager` and the sub-plan cache exactly
+:class:`~repro.exec.arena.PatternArena` and the sub-plan cache exactly
 as a from-scratch rebuild would — answers after insert/link/unlink/delete
 always match the reference evaluator on the mutated graph.  Mutations
 that bypass the event stream are caught by the graph version guard.
@@ -13,7 +13,7 @@ from repro.core.expression import Select, ref
 from repro.core.predicates import ClassValues, Comparison, Const
 from repro.datasets import university
 from repro.engine.database import Database
-from repro.exec import IndexManager
+from repro.exec import PatternArena
 from tests.properties.strategies import chain_schema
 
 
@@ -108,20 +108,33 @@ class TestVersionGuard:
         assert resets.value() == 0
 
 
-class TestIndexManagerUnit:
+class TestArenaAccessPaths:
     def test_extent_set_is_cached_across_reads(self, uni):
-        manager = IndexManager(uni.graph)
-        assert manager.extent_set("TA") is manager.extent_set("TA")
+        arena = PatternArena(uni.graph)
+        assert arena.extent_set("TA") is arena.extent_set("TA")
+        assert arena.extent_set("TA") == ref("TA").evaluate(uni.graph)
+
+    def test_extent_set_follows_extent_patches(self, db):
+        db.insert("A")
+        arena = db.executor.arena
+        before = arena.extent_set("A")
+        db.insert("A")
+        after = arena.extent_set("A")
+        assert len(after) == len(before) + 1
+        assert after == ref("A").evaluate(db.graph)
+        # one decoded snapshot per class, however many inserts came by
+        assert len(arena._extent_sets) == 1
 
     def test_edge_set_matches_graph_edges(self, uni):
-        manager = IndexManager(uni.graph)
+        arena = PatternArena(uni.graph)
         assoc = uni.schema.resolve("TA", "Grad")
-        edge_set = manager.edge_set(assoc)
+        edge_set = arena.decode_set(arena.edge_cset(assoc))
+        assert edge_set == (ref("TA") * ref("Grad")).evaluate(uni.graph)
         assert len(edge_set) == len(list(uni.graph.edges(assoc)))
 
     def test_reset_drops_everything(self, uni):
-        manager = IndexManager(uni.graph)
-        manager.extent_set("TA")
-        manager.edge_set(uni.schema.resolve("TA", "Grad"))
-        manager.reset()
-        assert not manager._extent_sets and not manager._edge_sets
+        arena = PatternArena(uni.graph)
+        arena.extent_set("TA")
+        arena.edge_cset(uni.schema.resolve("TA", "Grad"))
+        arena.reset()
+        assert not arena._extent_sets and not arena._edge_csets

@@ -1,24 +1,26 @@
-"""Physical planning: strategy selection, plan shape, parallel dispatch."""
+"""Physical planning: strategy selection, plan shape, compact regions."""
 
 import pytest
 
-from repro.core.expression import Select, Union, ref
-from repro.core.predicates import ClassValues, Comparison, Const
+from repro.core.expression import (
+    Associate,
+    Difference,
+    Intersect,
+    NonAssociate,
+    Select,
+    Union,
+    ref,
+)
+from repro.core.predicates import Callback, ClassValues, Comparison, Const
 from repro.datasets import university
 from repro.engine.database import Database
-from repro.exec import Executor, parallel_branches
+from repro.exec import CompactNode
 from repro.obs.span import Tracer
 
 
 @pytest.fixture()
 def db():
     return Database.from_dataset(university())
-
-
-@pytest.fixture()
-def legacy(db):
-    """A PR-2-style executor with the compact-kernel path disabled."""
-    return Executor(db.graph, compact=False)
 
 
 def strategies(plan):
@@ -30,58 +32,62 @@ class TestStrategySelection:
         plan = db.executor.plan(ref("TA"))
         assert plan.strategy == "extent-scan"
 
-    def test_associate_of_two_extents_is_compact_edge_scan(self, db, legacy):
+    def test_associate_of_two_extents_is_compact_edge_scan(self, db):
         expr = ref("TA") * ref("Grad")
         plan = db.executor.plan(expr)
         assert plan.strategy == "compact-kernel"
         assert plan.kernel == "edge-scan"
-        assert [c.strategy for c in plan.children] == ["compact-kernel"] * 2
-        old = legacy.plan(expr)
-        assert old.strategy == "edge-scan"
-        assert [c.strategy for c in old.children] == ["extent-scan"] * 2
+        assert [c.strategy for c in plan.children] == ["extent-scan"] * 2
+        assert all(isinstance(c, CompactNode) for c in plan.children)
 
-    def test_deep_associate_is_compact_join(self, db, legacy):
+    def test_deep_associate_is_compact_join(self, db):
         expr = ref("TA") * ref("Grad") * ref("Student")
         plan = db.executor.plan(expr)
         assert plan.strategy == "compact-kernel"
         assert plan.kernel == "hash-join"
         assert plan.children[0].kernel == "edge-scan"
-        old = legacy.plan(expr)
-        assert old.strategy == "index-join"
-        assert old.children[0].strategy == "edge-scan"
 
-    def test_value_equality_select_uses_value_index(self, db, legacy):
+    def test_value_equality_select_uses_value_index(self, db):
         expr = Select(ref("SS#"), Comparison(ClassValues("SS#"), "=", Const(1)))
         plan = db.executor.plan(expr)
         assert plan.strategy == "compact-kernel"
         assert plan.kernel == "value-index"
-        assert legacy.plan(expr).strategy == "value-index-scan"
 
     def test_general_select_compiles_to_compact_select(self, db):
         expr = Select(ref("SS#"), Comparison(ClassValues("SS#"), ">", Const(1)))
         plan = db.executor.plan(expr)
         assert plan.strategy == "compact-select"
         assert plan.kernel == "mask-eval"
-        # forcing the object path falls back to per-pattern evaluation
-        forced = db.executor.plan(expr, compiled_select=False)
-        assert forced.strategy == "object-eval"
 
     def test_uncompilable_select_is_object_eval(self, db):
         # Apply/Callback predicates cannot lower to column masks
-        from repro.core.predicates import Callback
-
         expr = Select(ref("SS#"), Callback(lambda p, g: True))
         assert db.executor.plan(expr).strategy == "object-eval"
 
-    def test_unsupported_operators_keep_reference_kernels(self, db, legacy):
+    def test_unsupported_operators_keep_reference_kernels(self, db):
         expr = (ref("TA") | ref("Grad")) + (ref("Section") ^ ref("Room#"))
         covered = strategies(db.executor.plan(expr))
         # A-Complement has no kernel, which also forces the Union above it
         # to fall back; the NonAssociate subtree still runs compact.
         assert {"complement-scan", "union", "compact-kernel"} <= covered
-        assert {"complement-scan", "free-set-scan", "union"} <= strategies(
-            legacy.plan(expr)
-        )
+        assert "free-set-scan" not in covered
+
+    def test_one_bottom_up_rule_places_every_node(self, db):
+        expr = (
+            (ref("TA") | ref("Grad")) * ref("Student")
+            + (ref("TA") * ref("Grad") - ref("TA"))
+        ).project(["TA"])
+        kernel_ops = (Associate, NonAssociate, Intersect, Union, Difference)
+        for node, _ in db.executor.plan(expr).walk():
+            if not node.children:
+                assert isinstance(node, CompactNode)
+                continue
+            compact_children = all(
+                isinstance(c, CompactNode) for c in node.children
+            )
+            assert isinstance(node, CompactNode) == (
+                isinstance(node.expr, kernel_ops) and compact_children
+            ), node
 
     def test_plan_mirrors_expression_tree(self, db):
         expr = (ref("TA") * ref("Grad")).project(["TA"])
@@ -90,11 +96,10 @@ class TestStrategySelection:
         physical = [str(node.expr) for node, _ in plan.walk()]
         assert logical == physical
 
-    def test_describe_lists_strategies(self, db, legacy):
-        expr = ref("TA") * ref("Grad")
-        assert "compact-kernel" in db.executor.plan(expr).describe()
-        text = legacy.plan(expr).describe()
-        assert "edge-scan" in text and "extent-scan" in text
+    def test_describe_lists_strategies(self, db):
+        text = db.executor.plan(ref("TA") * ref("Grad")).describe()
+        assert "compact-kernel[edge-scan]" in text
+        assert "extent-scan" in text
 
 
 def _walk_expr(expr, depth=0):
@@ -105,11 +110,17 @@ def _walk_expr(expr, depth=0):
 
 class TestRuntimeStrategies:
     def test_index_join_drives_from_smaller_side(self, db):
-        # |TA ∘ Grad| << |Student|: the join should probe from the left.
-        trace = Tracer()
-        db.query(ref("TA") * ref("Grad") * ref("Student"), trace=trace)
-        join_spans = [s for s in trace.completed if s.attributes.get("drive")]
-        assert join_spans and join_spans[-1].attributes["drive"] == "left"
+        # |TA ∘ Grad| << |Student|: the join should probe from the left,
+        # in a compact region and on the reference tier alike.
+        for expr in (
+            ref("TA") * ref("Grad") * ref("Student"),
+            (ref("TA") | ref("Grad")) * ref("Student"),
+        ):
+            trace = Tracer()
+            db.query(expr, trace=trace)
+            join_spans = [s for s in trace.completed if s.attributes.get("drive")]
+            assert join_spans and join_spans[-1].attributes["drive"] == "left"
+        assert trace.roots[-1].attributes["strategy"] == "index-join"
 
     def test_cache_hit_reported_in_span(self, db):
         q = ref("TA") * ref("Grad")
@@ -137,8 +148,8 @@ class TestRuntimeStrategies:
     def test_describe_shows_sigma_strategy(self, db):
         expr = Select(ref("SS#"), Comparison(ClassValues("SS#"), ">", Const(1)))
         assert "compact-select" in db.executor.plan(expr).describe()
-        forced = db.executor.plan(expr, compiled_select=False)
-        assert "object-eval" in forced.describe()
+        opaque = Select(ref("SS#"), Callback(lambda p, g: True))
+        assert "object-eval" in db.executor.plan(opaque).describe()
 
     def test_select_strategy_counters(self, db):
         compiled = db.metrics.counter("repro_select_compiled_total")
@@ -148,66 +159,12 @@ class TestRuntimeStrategies:
             Select(ref("SS#"), Comparison(ClassValues("SS#"), ">", Const(1)))
         )
         assert compiled.value() == before_c + 1
-        from repro.core.predicates import Callback
-
         db.executor.plan(Select(ref("SS#"), Callback(lambda p, g: True)))
         assert fallback.value() == before_f + 1
 
 
-class TestParallelBranches:
-    def test_union_frontier_parallelizes(self, db):
-        expr = ref("TA") * ref("Grad") + ref("Section") * ref("Room#")
-        branches = parallel_branches(db.executor.plan(expr))
-        assert len(branches) == 2
-
-    def test_nested_unions_flatten(self, db):
-        expr = Union(
-            ref("TA") * ref("Grad"),
-            Union(ref("Section") * ref("Room#"), ref("Student") * ref("Person")),
-        )
-        assert len(parallel_branches(db.executor.plan(expr))) == 3
-
-    def test_non_union_binary_nodes_parallelize_operands(self, db):
-        expr = (ref("TA") * ref("Grad")) - (ref("Section") * ref("Room#"))
-        assert len(parallel_branches(db.executor.plan(expr))) == 2
-
-    def test_trivial_branches_are_not_scheduled(self, db):
-        assert parallel_branches(db.executor.plan(ref("TA") + ref("Grad"))) == []
-
-    def test_search_descends_through_wrappers(self, db):
-        expr = (ref("TA") * ref("Grad") + ref("Section") * ref("Room#")).project(
-            ["TA"]
-        )
-        assert len(parallel_branches(db.executor.plan(expr))) == 2
-
-    def test_parallel_run_counts_branches_and_agrees(self, db):
-        expr = ref("TA") * ref("Grad") + ref("Section") * ref("Room#")
-        serial = db.query(expr).set
-        parallel = db.query(expr, parallel=True).set
-        assert parallel == serial
-        branches = db.metrics.counter("repro_parallel_branches_total")
-        assert branches.value() == 2
-
-    def test_parallel_trace_matches_serial_shape(self, db):
-        expr = ref("TA") * ref("Grad") + ref("Section") * ref("Room#")
-        serial, parallel = Tracer(), Tracer()
-        db.query(expr, trace=serial, use_cache=False)
-        db.query(expr, trace=parallel, parallel=True, use_cache=False)
-
-        def shape(span):
-            return (span.name, [shape(child) for child in span.children])
-
-        assert shape(parallel.roots[-1]) == shape(serial.roots[-1])
-
-    def test_branch_failure_propagates(self, db):
-        executor = Executor(db.graph)
-        expr = ref("TA") * ref("Grad") + ref("Nope") * ref("Grad")
-        with pytest.raises(Exception):
-            executor.run(expr, parallel=True)
-
-
 class TestCompactRegions:
-    def test_compact_and_legacy_results_agree(self, db, legacy):
+    def test_compact_results_match_reference(self, db):
         queries = [
             ref("TA") * ref("Grad") * ref("Student"),
             ref("TA") * ref("Grad") + ref("Section") * ref("Room#"),
@@ -218,7 +175,6 @@ class TestCompactRegions:
         for expr in queries:
             reference = expr.evaluate(db.graph)
             assert db.executor.run(expr, use_cache=False) == reference
-            assert legacy.run(expr, use_cache=False) == reference
 
     def test_project_above_region_falls_back_but_region_stays_compact(self, db):
         plan = db.executor.plan((ref("TA") * ref("Grad")).project(["TA"]))
@@ -252,11 +208,3 @@ class TestCompactRegions:
         assert db.metrics.gauge("repro_arena_vertices").value() > 0
         assert db.metrics.gauge("repro_arena_edges").value() > 0
         assert db.metrics.counter("repro_compact_decode_total").value() > 0
-
-    def test_parallel_compact_branches_agree_with_serial(self, db):
-        expr = ref("TA") * ref("Grad") * ref("Student") + ref("Section") * ref(
-            "Room#"
-        )
-        serial = db.query(expr).set
-        parallel = db.query(expr, parallel=True, use_cache=False).set
-        assert parallel == serial

@@ -1,12 +1,10 @@
 """§4 parallel decomposition of A-Union plans."""
 
-from concurrent.futures import ThreadPoolExecutor
-
 import pytest
 
-from repro.core.expression import Intersect, Union, ref
+from repro.core.expression import Intersect, ref
 from repro.datagen import figure10_dataset
-from repro.optimizer.parallel import decompose_unions, evaluate_parallel
+from repro.optimizer.parallel import decompose_unions
 
 
 @pytest.fixture(scope="module")
@@ -41,60 +39,10 @@ class TestDecompose:
 
 
 class TestEvaluate:
-    def test_matches_sequential(self, ds):
-        expr = final_form()
-        assert evaluate_parallel(expr, ds.graph) == expr.evaluate(ds.graph)
-
-    def test_non_union_fast_path(self, ds):
-        expr = ref("A") * ref("B")
-        assert evaluate_parallel(expr, ds.graph) == expr.evaluate(ds.graph)
-
-    def test_external_executor(self, ds):
-        expr = final_form()
-        with ThreadPoolExecutor(2) as pool:
-            result = evaluate_parallel(expr, ds.graph, executor=pool)
-        assert result == expr.evaluate(ds.graph)
-
     def test_figure10_branches_are_the_decomposition(self, ds):
         branches = decompose_unions(final_form())
         assert len(branches) == 2
-        merged = evaluate_parallel(final_form(), ds.graph)
         union_of_parts = branches[0].evaluate(ds.graph) | branches[1].evaluate(
             ds.graph
         )
-        assert merged == union_of_parts
-
-
-class TestPoolLifecycle:
-    """Regression: the owned pool must be shut down on every exit path."""
-
-    @pytest.fixture()
-    def recording(self, monkeypatch):
-        created = []
-
-        class RecordingPool(ThreadPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                created.append(self)
-
-        monkeypatch.setattr(
-            "repro.optimizer.parallel.ThreadPoolExecutor", RecordingPool
-        )
-        return created
-
-    def test_owned_pool_shut_down_after_success(self, ds, recording):
-        expr = final_form()
-        assert evaluate_parallel(expr, ds.graph) == expr.evaluate(ds.graph)
-        assert len(recording) == 1 and recording[0]._shutdown
-
-    def test_owned_pool_shut_down_after_branch_failure(self, ds, recording):
-        expr = ref("A") + ref("NoSuchClass")
-        with pytest.raises(Exception):
-            evaluate_parallel(expr, ds.graph)
-        assert len(recording) == 1 and recording[0]._shutdown
-
-    def test_external_executor_is_not_shut_down(self, ds):
-        expr = final_form()
-        with ThreadPoolExecutor(2) as pool:
-            evaluate_parallel(expr, ds.graph, executor=pool)
-            assert not pool._shutdown
+        assert union_of_parts == final_form().evaluate(ds.graph)

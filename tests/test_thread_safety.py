@@ -6,9 +6,10 @@ physical layer's lazily built derived state — the
 :class:`~repro.exec.cache.PlanCache` entry table and the
 :class:`~repro.exec.arena.PatternArena`'s interning/derived caches —
 is populated by many threads at once.  These regression tests drive
-exactly that shape: N threads issuing ``Database.query()`` with mixed
-compact/indexed strategies and cache on/off, compared pattern-for-
-pattern against a fresh serial evaluation.
+exactly that shape: N threads issuing ``Database.query()`` over queries
+planned as compact regions, reference-operator nodes and mixes of both,
+with the cache on and off, compared pattern-for-pattern against a fresh
+serial evaluation.
 """
 
 import threading
@@ -28,6 +29,7 @@ QUERIES = [
     "Section ! Room#",
     "TA * Grad + TA * Teacher",
     "sigma(GPA)[GPA > 3]",
+    "(TA | Grad) * Student",
 ]
 
 
@@ -62,13 +64,9 @@ class TestConcurrentQueries:
             out = []
             for round_no in range(ROUNDS):
                 q = QUERIES[(i + round_no) % len(QUERIES)]
-                # Vary the physical strategy and cache participation so
-                # compact-kernel, index-join, and cached paths interleave.
-                result = db.query(
-                    q,
-                    compact=(i + round_no) % 2 == 0,
-                    use_cache=round_no % 2 == 0,
-                )
+                # Rotate through the queries and toggle cache participation
+                # so compact-kernel, index-join, and cached paths interleave.
+                result = db.query(q, use_cache=round_no % 2 == 0)
                 out.append((q, frozenset(result.set)))
             return out
 
@@ -81,7 +79,7 @@ class TestConcurrentQueries:
         expected = _serial_reference(["TA * Grad"])["TA * Grad"]
 
         def worker(i):
-            return frozenset(db.query("TA * Grad", compact=True).set)
+            return frozenset(db.query("TA * Grad").set)
 
         for got in _run_threads(worker):
             assert got == expected

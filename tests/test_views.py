@@ -53,9 +53,7 @@ class TestLifecycle:
 
     def test_refresh_view_matches_incremental(self, db):
         db.create_view("v", "TA * Grad")
-        ta = db.query("TA").set
-        iid = next(iter(next(iter(ta)).vertices))
-        db.delete(iid)
+        db.delete(min(db.graph.extent("TA")))
         incremental = db.view("v").patterns
         assert db.refresh_view("v") == incremental
 
